@@ -2,31 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 BASELINE_KINDS = ("label_persistent", "all_benign")
 
 
-@dataclass(frozen=True)
-class BaselineKind:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
-
-
-def predict_naive(records, kind: BaselineKind | str) -> dict[str, int]:
+def predict_naive(records, kind: str) -> dict[str, int]:
     """Predict each record's new label without looking at any source code.
 
     label_persistent: common files keep their old label, added files are
     benign. all_benign: everything is benign.
     """
-    if isinstance(kind, str):
-        kind = BaselineKind(kind)
+    if kind not in BASELINE_KINDS:
+        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
     preds: dict[str, int] = {}
     for record in records:
-        if kind.kind == "all_benign" or record.old_file is None:
+        if kind == "all_benign" or record.old_file is None:
             preds[record.record_id] = 0
         else:
             preds[record.record_id] = record.old_file.label

@@ -5,68 +5,99 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, pipeline
+from .baselines import BASELINE_KINDS
 from .errors import DriftlensError
 from .matching import match_files, partition
 from .metrics import evaluate_predictions, render_text
 from .prompting import build_method_prompt, build_role_prompt
 
+# Flags spelled differently from the RunConfig field they set. A
+# (subcommand, field) key applies to that subcommand only.
+_SPELLINGS = {
+    "old_csv": ("--old",),
+    "new_csv": ("--new",),
+    "threshold": ("-T", "--threshold"),
+    "gap_multiplier": ("-c", "--gap-multiplier"),
+    ("diff", "diff_context"): ("--context",),
+}
 
-def _add_dataset_args(parser):
-    parser.add_argument("--dataset", default="", help="dataset name for reports")
-    parser.add_argument("--old", required=True, help="old-version CSV")
-    parser.add_argument("--new", required=True, help="new-version CSV")
-    parser.add_argument("--path-column", default="")
-    parser.add_argument("--label-column", default="")
-    parser.add_argument("--source-column", default="")
+_HELP = {
+    "dataset": "dataset name for reports",
+    "old_csv": "old-version CSV",
+    "new_csv": "new-version CSV",
+    "method": "M0..M8 (prompt also takes analyzer)",
+    "roles": "analyzer=...,proposer=...,skeptic=...,judge=...",
+    "stub": "offline scripted agents",
+    "caps": "per-subset caps, e.g. B00=100",
+}
+
+INPUT_FIELDS = ("old_csv", "new_csv")
+DATASET_FIELDS = ("dataset", *INPUT_FIELDS, "path_column", "label_column", "source_column",
+                  "threshold", "gap_multiplier")
+LLM_RUN_FIELDS = ("model", "base_url", "stub", "seed", "caps", "out_dir", "diff_context",
+                  "depth", "max_lines", "max_in_flight")
 
 
-def _add_match_args(parser):
-    parser.add_argument("-T", "--threshold", type=float, default=0.7)
-    parser.add_argument("-c", "--gap-multiplier", type=float, default=1.0)
+def _command(sub, name: str, fn, help_text: str, field_names, required=(), overrides=False):
+    """Add a subcommand with one flag per RunConfig field in `field_names`.
+
+    Each flag takes its type and default from the dataclass; bools are
+    store_true. With `overrides`, an absent flag sets nothing, so only the
+    flags given on the command line override a loaded config.
+    """
+    parser = sub.add_parser(name, help=help_text)
+    defaults = pipeline.RunConfig()
+    for field_name in field_names:
+        flags = (_SPELLINGS.get((name, field_name)) or _SPELLINGS.get(field_name)
+                 or ("--" + field_name.replace("_", "-"),))
+        kind = pipeline.FIELD_TYPES[field_name]
+        kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
+        parser.add_argument(
+            *flags, dest=field_name, required=field_name in required,
+            default=argparse.SUPPRESS if overrides else getattr(defaults, field_name),
+            help=_HELP.get(field_name), **kwargs)
+    parser.set_defaults(fn=fn)
+    return parser
 
 
-def _config_from_args(args, **overrides) -> pipeline.RunConfig:
-    config = pipeline.RunConfig(
-        dataset=args.dataset, old_csv=args.old, new_csv=args.new,
-        path_column=args.path_column, label_column=args.label_column,
-        source_column=args.source_column,
-        threshold=getattr(args, "threshold", 0.7),
-        gap_multiplier=getattr(args, "gap_multiplier", 1.0),
-    )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+def _given(args) -> dict:
+    """The RunConfig fields set by the subcommand's flags and defaults."""
+    return {name: value for name, value in vars(args).items() if name in pipeline.FIELD_TYPES}
 
 
-def _load_matched(args):
-    config = _config_from_args(args)
+def _partitioned(args):
+    config = pipeline.RunConfig(**_given(args))
     old_set, new_set = pipeline.load_sets(config)
     matches = match_files(old_set, new_set, config.match_params())
-    return config, old_set, new_set, matches
+    records, stats = partition(old_set, new_set, matches)
+    return config, old_set, records, stats
 
 
-def _find_record(records, path: str):
+def _load_record(args):
+    """The config, old version and the matched record named by --record."""
+    config, old_set, records, _ = _partitioned(args)
     for record in records:
-        if record.record_id == path:
-            return record
-    raise DriftlensError(f"no record for path {path!r}")
+        if record.record_id == args.record:
+            if record.old_file is None:
+                raise DriftlensError(f"{args.record} is an added file; it has no change")
+            return config, old_set, record
+    raise DriftlensError(f"no record for path {args.record!r}")
 
 
 def cmd_match(args) -> int:
-    _, old_set, new_set, matches = _load_matched(args)
-    records, _ = partition(old_set, new_set, matches)
+    _, _, records, _ = _partitioned(args)
     pipeline.write_matches_csv(records, args.out)
     print(f"wrote {args.out} ({len(records)} records)")
     return 0
 
 
 def cmd_partition(args) -> int:
-    config, old_set, new_set, matches = _load_matched(args)
-    _, stats = partition(old_set, new_set, matches)
-    name = config.dataset or Path(args.new).stem
+    config, _, _, stats = _partitioned(args)
+    name = config.dataset or Path(config.new_csv).stem
     header = f"{'dataset':<16}{'R':>8}{'A':>8}{'d=0':>8}{'B00':>8}{'B10':>8}{'D11':>8}{'D01':>8}"
     row = (f"{name:<16}{stats.pct_removed:>8.2f}{stats.pct_added:>8.2f}"
            f"{stats.pct_same_source:>8.2f}{stats.pct_b00:>8.2f}{stats.pct_b10:>8.2f}"
@@ -78,25 +109,14 @@ def cmd_partition(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    config, old_set, new_set, matches = _load_matched(args)
-    config.diff_context = args.diff_context
-    records, _ = partition(old_set, new_set, matches)
-    record = _find_record(records, args.record)
-    if record.old_file is None:
-        raise DriftlensError(f"{args.record} is an added file; nothing to diff")
+    config, _, record = _load_record(args)
     cs, _ = pipeline.record_materials(record, config, need_context=False)
     sys.stdout.write(cs.unified)
     return 0
 
 
 def cmd_context(args) -> int:
-    config, old_set, new_set, matches = _load_matched(args)
-    config.depth = args.depth
-    config.max_lines = args.max_lines
-    records, _ = partition(old_set, new_set, matches)
-    record = _find_record(records, args.record)
-    if record.old_file is None:
-        raise DriftlensError(f"{args.record} is an added file; no change to anchor on")
+    config, _, record = _load_record(args)
     _, ctx = pipeline.record_materials(record, config, need_context=True)
     print(ctx.snippet)
     if ctx.truncated:
@@ -105,19 +125,15 @@ def cmd_context(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    config, old_set, new_set, matches = _load_matched(args)
-    config.depth = args.depth
-    config.max_lines = args.max_lines
-    records, _ = partition(old_set, new_set, matches)
-    record = _find_record(records, args.record)
+    config, old_set, record = _load_record(args)
     cs, ctx = pipeline.record_materials(record, config, need_context=True)
-    if args.method in ("analyzer",):
-        bundle = build_role_prompt(args.method, record, cs, ctx)
+    if config.method == "analyzer":
+        bundle = build_role_prompt(config.method, record, cs, ctx)
     else:
         exemplars = None
-        if args.method == "M7":
+        if config.method == "M7":
             exemplars = pipeline.pick_exemplars(old_set, config.exemplar_count, config.seed)
-        bundle = build_method_prompt(args.method, record, cs, ctx=ctx, exemplars=exemplars)
+        bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)
     print("=== system ===")
     print(bundle.system)
     print("=== user ===")
@@ -126,53 +142,33 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = _config_from_args(args, baseline=args.kind.replace("-", "_"),
-                               out_dir=str(Path(args.out).parent or "."))
-    old_set, new_set = pipeline.load_sets(config)
-    matches = match_files(old_set, new_set, config.match_params())
-    records, _ = partition(old_set, new_set, matches)
-    rows = pipeline.baseline_rows(records, config.baseline)
+    _, _, records, _ = _partitioned(args)
+    kind = args.kind.replace("-", "_")
+    rows = pipeline.baseline_rows(records, kind)
     pipeline.write_predictions_csv(rows, args.out)
     if args.records_out:
         pipeline.write_records_csv(records, args.records_out)
     preds = {row.record_id: row.pred_label for row in rows}
-    report = evaluate_predictions(records, preds, method=config.baseline)
+    report = evaluate_predictions(records, preds, method=kind)
     print(render_text(report))
     print(f"wrote {args.out}")
     return 0
 
 
-def _predict_like_config(args, **overrides) -> pipeline.RunConfig:
-    config = _config_from_args(args, **overrides)
-    config.stub = args.stub
-    config.model = args.model
-    config.base_url = args.base_url
-    config.seed = args.seed
-    config.caps = args.caps
-    config.out_dir = args.out_dir
-    config.diff_context = args.diff_context
-    config.depth = args.depth
-    config.max_lines = args.max_lines
-    config.max_in_flight = args.max_in_flight
-    return config
+def _run_and_print(config: pipeline.RunConfig) -> int:
+    report, artifacts = pipeline.run(config)
+    print(render_text(report))
+    print(f"artifacts in {artifacts['out_dir']}")
+    return 0
 
 
 def cmd_predict(args) -> int:
-    config = _predict_like_config(args, method=args.method)
-    report, artifacts = pipeline.run(config)
-    print(render_text(report))
-    print(f"artifacts in {artifacts['out_dir']}")
-    return 0
+    """predict and debate: a full run configured entirely by flags."""
+    return _run_and_print(pipeline.RunConfig(**_given(args)))
 
 
-def cmd_debate(args) -> int:
-    config = _predict_like_config(args, debate=True)
-    config.rounds = args.rounds
-    config.roles = args.roles
-    report, artifacts = pipeline.run(config)
-    print(render_text(report))
-    print(f"artifacts in {artifacts['out_dir']}")
-    return 0
+def cmd_run(args) -> int:
+    return _run_and_print(replace(pipeline.load_config(args.config), **_given(args)))
 
 
 def cmd_evaluate(args) -> int:
@@ -184,22 +180,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    config = pipeline.load_config(args.config)
-    for name in ("out_dir", "method", "baseline", "seed", "caps"):
-        value = getattr(args, name)
-        if value not in (None, ""):
-            setattr(config, name, value)
-    if args.stub:
-        config.stub = True
-    if args.debate:
-        config.debate = True
-    report, artifacts = pipeline.run(config)
-    print(render_text(report))
-    print(f"artifacts in {artifacts['out_dir']}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlens",
@@ -207,72 +187,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"driftlens {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("match", help="match new files to old-version predecessors")
-    _add_dataset_args(p)
-    _add_match_args(p)
+    p = _command(sub, "match", cmd_match, "match new files to old-version predecessors",
+                 DATASET_FIELDS, INPUT_FIELDS)
     p.add_argument("--out", default="matches.csv")
-    p.set_defaults(fn=cmd_match)
 
-    p = sub.add_parser("partition", help="print the file-evolution partition table")
-    _add_dataset_args(p)
-    _add_match_args(p)
-    p.set_defaults(fn=cmd_partition)
+    _command(sub, "partition", cmd_partition, "print the file-evolution partition table",
+             DATASET_FIELDS, INPUT_FIELDS)
 
-    p = sub.add_parser("diff", help="print the unified diff for one matched record")
-    _add_dataset_args(p)
-    _add_match_args(p)
+    p = _command(sub, "diff", cmd_diff, "print the unified diff for one matched record",
+                 (*DATASET_FIELDS, "diff_context"), INPUT_FIELDS)
     p.add_argument("--record", required=True)
-    p.add_argument("--context", dest="diff_context", type=int, default=3)
-    p.set_defaults(fn=cmd_diff)
 
-    p = sub.add_parser("context", help="print the expanded context snippet for one record")
-    _add_dataset_args(p)
-    _add_match_args(p)
+    p = _command(sub, "context", cmd_context, "print the expanded context snippet for one record",
+                 (*DATASET_FIELDS, "depth", "max_lines"), INPUT_FIELDS)
     p.add_argument("--record", required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-lines", type=int, default=600)
-    p.set_defaults(fn=cmd_context)
 
-    p = sub.add_parser("prompt", help="render a prompt bundle for audit")
-    _add_dataset_args(p)
-    _add_match_args(p)
+    p = _command(sub, "prompt", cmd_prompt, "render a prompt bundle for audit",
+                 (*DATASET_FIELDS, "method", "depth", "max_lines"), (*INPUT_FIELDS, "method"))
     p.add_argument("--record", required=True)
-    p.add_argument("--method", required=True, help="M0..M8 or analyzer")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-lines", type=int, default=400)
-    p.set_defaults(fn=cmd_prompt)
 
-    p = sub.add_parser("baseline", help="emit naive predictions and report")
-    _add_dataset_args(p)
-    _add_match_args(p)
+    p = _command(sub, "baseline", cmd_baseline, "emit naive predictions and report",
+                 DATASET_FIELDS, INPUT_FIELDS)
     p.add_argument("--kind", default="label-persistent",
-                   choices=["label-persistent", "label_persistent", "all-benign", "all_benign"])
+                   choices=[s for k in BASELINE_KINDS for s in (k.replace("_", "-"), k)])
     p.add_argument("--out", default="preds.csv")
     p.add_argument("--records-out", default="", help="also write the records CSV here")
-    p.set_defaults(fn=cmd_baseline)
 
-    for name, help_text in (("predict", "run one M0-M8 method over changed files"),
-                            ("debate", "run the multi-agent debate over changed files")):
-        p = sub.add_parser(name, help=help_text)
-        _add_dataset_args(p)
-        _add_match_args(p)
-        if name == "predict":
-            p.add_argument("--method", required=True)
-        else:
-            p.add_argument("--rounds", type=int, default=1)
-            p.add_argument("--roles", default="",
-                           help="analyzer=...,proposer=...,skeptic=...,judge=...")
-        p.add_argument("--model", default="gpt-5-mini")
-        p.add_argument("--base-url", default="")
-        p.add_argument("--stub", action="store_true", help="offline scripted agents")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--caps", default="", help="per-subset caps, e.g. B00=100")
-        p.add_argument("--out-dir", default="runs/latest")
-        p.add_argument("--diff-context", type=int, default=3)
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--max-lines", type=int, default=400)
-        p.add_argument("--max-in-flight", type=int, default=4)
-        p.set_defaults(fn=cmd_predict if name == "predict" else cmd_debate)
+    _command(sub, "predict", cmd_predict, "run one M0-M8 method over changed files",
+             (*DATASET_FIELDS, "method", *LLM_RUN_FIELDS), (*INPUT_FIELDS, "method"))
+
+    p = _command(sub, "debate", cmd_predict, "run the multi-agent debate over changed files",
+                 (*DATASET_FIELDS, "rounds", "roles", *LLM_RUN_FIELDS), INPUT_FIELDS)
+    p.set_defaults(debate=True)
 
     p = sub.add_parser("evaluate", help="recompute a report from saved artifacts")
     p.add_argument("--preds", required=True)
@@ -280,16 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="saved")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("run", help="full pipeline from a flat key=value config file")
+    p = _command(sub, "run", cmd_run, "full pipeline from a flat key=value config file",
+                 ("out_dir", "method", "baseline", "debate", "stub", "seed", "caps"),
+                 overrides=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", dest="out_dir", default="")
-    p.add_argument("--method", default="")
-    p.add_argument("--baseline", default="")
-    p.add_argument("--debate", action="store_true")
-    p.add_argument("--stub", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--caps", default="")
-    p.set_defaults(fn=cmd_run)
 
     return parser
 

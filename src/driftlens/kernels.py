@@ -1,16 +1,11 @@
 """Hot numeric kernels: LCS alignment tables and batched Dice similarity.
 
-Both kernels exist twice: a numba @njit implementation and a pure-numpy
-fallback. The active backend is chosen at import time from the
-DRIFTLENS_KERNELS environment variable ("numba", "numpy", or "auto";
-default "auto" picks numba when it imports). Outputs of the two backends
-are bit-identical; benchmarks/bench_kernels.py compares their speed.
+Both kernels are row- or segment-vectorised numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +15,8 @@ import numpy as np
 # instead of being aligned line-by-line. 16M cells = 64 MB of int32.
 LCS_CELL_BUDGET = 16_000_000
 
-_ENV_CHOICE = os.environ.get("DRIFTLENS_KERNELS", "auto").strip().lower()
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+# Name of the kernel implementation, reported in benchmark environment lines.
+BACKEND = "numpy"
 
 
 def line_hash64(line: str) -> int:
@@ -53,12 +42,7 @@ def pack_line_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _lcs_table_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lcs_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = len(a), len(b)
     table = np.zeros((n + 1, m + 1), dtype=np.int32)
     if m == 0:
@@ -73,7 +57,8 @@ def _lcs_table_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
-def _dice_batch_np(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Dice similarity of one hashed line set against many, 2|A∩B|/(|A|+|B|)."""
     count = len(offsets) - 1
     out = np.empty(count, dtype=np.float64)
     nq = len(query)
@@ -91,91 +76,6 @@ def _dice_batch_np(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> 
         inter = int(np.count_nonzero(seg[idx] == query))
         out[t] = 2.0 * inter / denom
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _lcs_table_nb(a, b):  # pragma: no cover - exercised via dispatch
-        n = a.shape[0]
-        m = b.shape[0]
-        table = np.zeros((n + 1, m + 1), dtype=np.int32)
-        for i in range(1, n + 1):
-            ai = a[i - 1]
-            for j in range(1, m + 1):
-                if ai == b[j - 1]:
-                    table[i, j] = table[i - 1, j - 1] + 1
-                else:
-                    up = table[i - 1, j]
-                    left = table[i, j - 1]
-                    table[i, j] = up if up >= left else left
-        return table
-
-    @njit(cache=True)
-    def _dice_batch_nb(query, flat, offsets):  # pragma: no cover - via dispatch
-        count = offsets.shape[0] - 1
-        out = np.empty(count, dtype=np.float64)
-        nq = query.shape[0]
-        for t in range(count):
-            lo = offsets[t]
-            hi = offsets[t + 1]
-            denom = nq + (hi - lo)
-            if denom == 0:
-                out[t] = 1.0
-                continue
-            inter = 0
-            i = 0
-            k = lo
-            while i < nq and k < hi:
-                x = query[i]
-                y = flat[k]
-                if x == y:
-                    inter += 1
-                    i += 1
-                    k += 1
-                elif x < y:
-                    i += 1
-                else:
-                    k += 1
-            out[t] = 2.0 * inter / denom
-        return out
-
-
-_IMPLS = {"numpy": (_lcs_table_np, _dice_batch_np)}
-if _HAVE_NUMBA:
-    _IMPLS["numba"] = (_lcs_table_nb, _dice_batch_nb)
-
-
-def _resolve_backend(choice: str) -> str:
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("DRIFTLENS_KERNELS=numba but numba is not importable")
-        return "numba"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend(_ENV_CHOICE)
-_lcs_table, _dice_batch = _IMPLS[BACKEND]
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def get_impl(name: str):
-    """Return (lcs_table, dice_batch) for an explicit backend (tests, benchmarks)."""
-    return _IMPLS[name]
-
-
-def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Dice similarity of one hashed line set against many, 2|A∩B|/(|A|+|B|)."""
-    return _dice_batch(query, flat, offsets)
 
 
 def _backtrack(table: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -212,7 +112,7 @@ def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int,
     """Indices (i, j) of one longest common subsequence of two line lists.
 
     Common prefix and suffix are matched directly; the remaining middle is
-    aligned with the active backend's LCS table. Middles over LCS_CELL_BUDGET
+    aligned with a full LCS table. Middles over LCS_CELL_BUDGET
     cells get no interior matches (rendered as one replace block), which keeps
     memory bounded on pathological pairs.
     """

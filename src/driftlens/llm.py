@@ -183,7 +183,9 @@ class ScriptedChatClient:
     """
 
     def __init__(self, script: dict | None = None):
-        self.script = dict(script or {})
+        # lists are consumed per call, so copy them to leave the caller's script intact
+        self.script = {key: list(value) if isinstance(value, list) else value
+                       for key, value in (script or {}).items()}
         self.stats = CallStats()
         self._lock = threading.Lock()
 

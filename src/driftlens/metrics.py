@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SUBSET_ORDER = ("B00", "B10", "D11", "D01")
+from .matching import SUBSET_ORDER
+
 CHANGED_SUBSETS = frozenset({"B10", "D01"})
 UNCHANGED_SUBSETS = frozenset({"B00", "D11"})
 

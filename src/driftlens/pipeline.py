@@ -12,8 +12,10 @@ import csv
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .baselines import BASELINE_KINDS, predict_naive
@@ -26,8 +28,6 @@ from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_predicti
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
 from .prompting import build_method_prompt
-
-TRANSITION_SUBSETS = tuple(sorted(SUBSETS))
 
 
 @dataclass
@@ -114,10 +114,11 @@ def _coerce(raw: str, kind):
     return kind(raw.strip())
 
 
+FIELD_TYPES = get_type_hints(RunConfig)
+
+
 def config_from_lines(lines) -> RunConfig:
     """Parse the flat key=value config format (# starts a comment)."""
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    types = {"str": str, "int": int, "float": float, "bool": bool}
     values = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -127,14 +128,18 @@ def config_from_lines(lines) -> RunConfig:
         if not sep:
             raise ConfigurationError(f"config line {lineno} is not key=value: {line!r}")
         key = key.strip()
-        if key not in kinds:
+        if key not in FIELD_TYPES:
             raise ConfigurationError(f"unknown config key {key!r} at line {lineno}")
-        values[key] = _coerce(raw, types[kinds[key]])
+        values[key] = _coerce(raw, FIELD_TYPES[key])
     return RunConfig(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return config_from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from exc
+    return config_from_lines(text.splitlines())
 
 
 def config_lines(config: RunConfig) -> list[str]:
@@ -181,7 +186,7 @@ def sample_records(records, caps: dict[str, int], seed: int):
         return population
     keep: set[str] = set()
     rng = random.Random(seed)
-    for subset in TRANSITION_SUBSETS:
+    for subset in sorted(SUBSETS):
         members = sorted((r.record_id for r in population if r.subset == subset))
         cap = caps.get(subset)
         if cap is not None and len(members) > cap:
@@ -277,11 +282,15 @@ def baseline_rows(records, kind: str) -> list[PredictionRow]:
             for r in records]
 
 
-def write_records_csv(records, path: str | Path) -> None:
+RECORD_COLUMNS = ("new_path", "old_path", "match_kind", "similarity",
+                  "subset", "old_label", "new_label")
+
+
+def _write_record_rows(records, path: str | Path, width: int) -> None:
+    """Write the first `width` RECORD_COLUMNS of each evolution record."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["new_path", "old_path", "match_kind", "similarity",
-                         "subset", "old_label", "new_label"])
+        writer.writerow(RECORD_COLUMNS[:width])
         for r in records:
             writer.writerow([
                 r.new_file.path,
@@ -291,21 +300,16 @@ def write_records_csv(records, path: str | Path) -> None:
                 r.subset,
                 r.old_file.label if r.old_file else "",
                 r.new_file.label,
-            ])
+            ][:width])
+
+
+def write_records_csv(records, path: str | Path) -> None:
+    _write_record_rows(records, path, len(RECORD_COLUMNS))
 
 
 def write_matches_csv(records, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["new_path", "old_path", "match_kind", "similarity", "subset"])
-        for r in records:
-            writer.writerow([
-                r.new_file.path,
-                r.old_file.path if r.old_file else "",
-                r.match_kind,
-                f"{r.similarity:.6f}" if r.similarity is not None else "",
-                r.subset,
-            ])
+    """The match columns of records.csv: everything but the labels."""
+    _write_record_rows(records, path, 5)
 
 
 def write_predictions_csv(rows: list[PredictionRow], path: str | Path) -> None:
@@ -355,17 +359,14 @@ def read_records_csv(path: str | Path):
     return records
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineStageError):
-                raise PipelineStageError(name, exc) from exc
-            return False
-
-    return _StageGuard()
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def run(config: RunConfig, client=None):

@@ -138,6 +138,13 @@ class TestScriptedClient:
         assert client.complete(req(tag="judge")) == "second"
         assert client.complete(req(tag="judge")) == "second"
 
+    def test_one_script_serves_two_clients_alike(self):
+        script = {("judge", None): ["first", "second"]}
+        for client in (ScriptedChatClient(script), ScriptedChatClient(script)):
+            replies = [client.complete(req(tag="judge")) for _ in range(3)]
+            assert replies == ["first", "second", "second"]
+        assert script == {("judge", None): ["first", "second"]}
+
     def test_no_network_surface(self):
         client = ScriptedChatClient()
         client.complete(req())

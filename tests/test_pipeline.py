@@ -1,9 +1,11 @@
+import argparse
 import csv
+import dataclasses
 
 import pytest
 
 from driftlens import pipeline
-from driftlens.cli import main as cli_main
+from driftlens.cli import build_parser, main as cli_main
 from driftlens.corpus import VersionedFile, VersionSet, write_version
 from driftlens.errors import ConfigurationError, PipelineStageError
 from driftlens.llm import HttpChatClient, ScriptedChatClient
@@ -395,9 +397,38 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "run3" / "manifest.txt").exists()
 
-    def test_cli_error_path(self, corpus, capsys):
+    def test_run_flags_override_config_file(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
-        rc = cli_main(["diff", "--old", str(old_csv), "--new", str(new_csv),
-                       "--record", "missing.java"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        config_path = tmp_path / "c.conf"
+        config_path.write_text(f"old_csv = {old_csv}\nnew_csv = {new_csv}\n"
+                               f"dataset = demo\nmethod = M2\nout_dir = {tmp_path / 'x'}\n")
+        out_dir = tmp_path / "D"
+        assert cli_main(["run", "--config", str(config_path), "--method", "M5", "--seed", "7",
+                         "--caps", "B00=1", "--stub", "--out-dir", str(out_dir)]) == 0
+        manifest = pipeline.load_config(out_dir / "manifest.txt")
+        assert manifest == RunConfig(dataset="demo", old_csv=str(old_csv), new_csv=str(new_csv),
+                                     method="M5", seed=7, caps="B00=1", stub=True,
+                                     out_dir=str(out_dir))
+
+    def test_flag_defaults_match_run_config(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        defaults = RunConfig()
+        field_names = {f.name for f in dataclasses.fields(RunConfig)}
+        for command, parser in subparsers.choices.items():
+            if command == "evaluate":  # its --method only labels the report
+                continue
+            for action in parser._actions:
+                if (action.dest in field_names and not action.required
+                        and action.default is not argparse.SUPPRESS):
+                    assert action.default == getattr(defaults, action.dest), (command, action.dest)
+
+    def test_cli_error_path(self, corpus, tmp_path, capsys):
+        old_csv, new_csv = corpus
+        inputs = ["--old", str(old_csv), "--new", str(new_csv)]
+        for argv in (["diff", *inputs, "--record", "missing.java"],
+                     ["context", *inputs, "--record", "pkg/Fresh.java"],  # an added file
+                     ["prompt", *inputs, "--record", "pkg/Fresh.java", "--method", "M5"],
+                     ["run", "--config", str(tmp_path / "missing.conf")]):
+            assert cli_main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err
