@@ -1,15 +1,20 @@
 """Diff-anchored file-local context extraction.
 
-Methods are located with signature heuristics plus brace balancing on a
-masked copy of the source (string/char literals and comments blanked out).
-A same-file, name-based call graph links them; context expansion walks
-callers and callees outward from the methods touching changed lines, one
-wave per depth unit, and renders the visited bodies under a line budget.
+Each source is masked once: one regex finds every comment and string/char
+literal, and one substitution blanks them with offsets kept. Methods are
+located with signature heuristics plus brace balancing on the masked text,
+and each span keeps its masked body. A same-file, name-based call graph
+counts the `name(` tokens of each masked body in a single scan. Context
+expansion walks callers and callees outward from the methods touching
+changed lines, one wave per depth unit, and renders the visited bodies
+under a line budget.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 RAW_WINDOW = 3  # lines kept around changed lines that fall outside any method
@@ -33,6 +38,20 @@ _CTOR_RE = re.compile(
     r"((?:(?:public|protected|private|static|final|synchronized)\s+)+)"
     r"([A-Z][\w$]*)\s*\("
 )
+# Comments and literals, leftmost first. A literal captures its body and
+# pairs each backslash with the next character; an unterminated comment or
+# literal runs to the end of the text.
+_MASKED_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*.*?(?:\*/|\Z)"
+    r'|"([^"\\]*(?:\\.?[^"\\]*)*)"?'
+    r"|'([^'\\]*(?:\\.?[^'\\]*)*)'?",
+    re.DOTALL,
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]+")
+_LITERAL_BODY_RE = re.compile(r"\\.?|[^\\\n]+", re.DOTALL)
+_BODY_OR_END_RE = re.compile(r"[{;]")
+_CALL_RE = re.compile(r"(?<![\w$])([A-Za-z_$][\w$]*)\s*\(")
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,7 @@ class MethodSpan:
     start_line: int    # 1-based, inclusive
     end_line: int      # 1-based, inclusive
     body: str
+    masked_body: str   # the same lines of the masked source
 
 
 @dataclass(frozen=True)
@@ -52,12 +72,6 @@ class CallGraph:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-
-    def callees(self, name: str) -> list[str]:
-        return [b for a, b in self.edges if a == name]
-
-    def callers(self, name: str) -> list[str]:
-        return [a for a, b in self.edges if b == name]
 
 
 @dataclass(frozen=True)
@@ -75,63 +89,33 @@ class ContextBundle:
         return 0 if not self.snippet else self.snippet.count("\n") + 1
 
 
+def _spaces(m: re.Match) -> str:
+    return " " * len(m[0])
+
+
+def _blank(m: re.Match) -> str:
+    if m.lastindex is None:  # a comment: its newlines survive
+        return _NOT_NEWLINE_RE.sub(_spaces, m[0])
+    body = m[m.lastindex]    # a literal keeps its quotes; escape pairs blank as one
+    return m[0][0] + _LITERAL_BODY_RE.sub(_spaces, body) + m[0][1 + len(body):]
+
+
 def mask_source(source: str) -> str:
-    """Blank out string/char literals and comments, preserving offsets."""
-    out = list(source)
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif ch == "/" and nxt == "*":
-            out[i] = out[i + 1] = " "
-            i += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-        elif ch in ('"', "'"):
-            quote = ch
-            i += 1
-            while i < n and source[i] != quote:
-                if source[i] == "\\" and i + 1 < n:
-                    out[i] = out[i + 1] = " "
-                    i += 2
-                    continue
-                if source[i] != "\n":
-                    out[i] = " "
-                i += 1
-            i += 1
-        else:
-            i += 1
-    return "".join(out)
+    """Blank out string/char literals and comments, preserving offsets.
+
+    Unterminated comments and literals run to the end of the text. Newlines
+    survive, except one escaped by a backslash inside a literal.
+    """
+    return _MASKED_RE.sub(_blank, source)
 
 
-def _matching_paren(masked: str, open_pos: int) -> int:
+def _closing(masked: str, pos: int, opener: str, closer: str) -> int:
+    """Offset of the closer that balances the opener at `pos`, or -1."""
     depth = 0
-    for i in range(open_pos, len(masked)):
-        if masked[i] == "(":
+    for i in range(pos, len(masked)):
+        if masked[i] == opener:
             depth += 1
-        elif masked[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def _body_end(masked: str, brace_pos: int) -> int:
-    depth = 0
-    for i in range(brace_pos, len(masked)):
-        if masked[i] == "{":
-            depth += 1
-        elif masked[i] == "}":
+        elif masked[i] == closer:
             depth -= 1
             if depth == 0:
                 return i
@@ -144,19 +128,10 @@ def extract_methods(source: str) -> list[MethodSpan]:
         return []
     masked = mask_source(source)
     lines = source.split("\n")
+    masked_lines = masked.split("\n")
     line_starts = [0]
     for ln in lines[:-1]:
         line_starts.append(line_starts[-1] + len(ln) + 1)
-
-    def line_of(offset: int) -> int:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1  # 1-based
 
     spans: list[MethodSpan] = []
     claimed: set[tuple[int, int]] = set()
@@ -169,21 +144,18 @@ def extract_methods(source: str) -> list[MethodSpan]:
                 head = m.group(2).split()
                 if any(tok in _CONTROL_KEYWORDS for tok in head):
                     continue
-            open_pos = masked.index("(", m.end() - 1)
-            close = _matching_paren(masked, open_pos)
+            close = _closing(masked, m.end() - 1, "(", ")")
             if close < 0:
                 continue
             # skip whitespace and a throws clause; require a body
-            tail = close + 1
-            while tail < len(masked) and masked[tail] not in "{;":
-                tail += 1
-            if tail >= len(masked) or masked[tail] == ";":
+            tail = _BODY_OR_END_RE.search(masked, close + 1)
+            if tail is None or tail[0] == ";":
                 continue
-            end = _body_end(masked, tail)
+            end = _closing(masked, tail.start(), "{", "}")
             if end < 0:
                 continue
-            start_line = line_of(m.start())
-            end_line = line_of(end)
+            start_line = bisect_right(line_starts, m.start())
+            end_line = bisect_right(line_starts, end)
             if (start_line, end_line) in claimed:
                 continue
             claimed.add((start_line, end_line))
@@ -193,46 +165,29 @@ def extract_methods(source: str) -> list[MethodSpan]:
                 start_line=start_line,
                 end_line=end_line,
                 body="\n".join(lines[start_line - 1:end_line]),
+                masked_body="\n".join(masked_lines[start_line - 1:end_line]),
             ))
     spans.sort(key=lambda s: (s.start_line, s.end_line))
     return spans
 
 
-def build_call_graph(methods: list[MethodSpan], source: str | None = None) -> CallGraph:
+def build_call_graph(methods: list[MethodSpan]) -> CallGraph:
     """Name-based caller->callee edges among same-file methods.
 
     An edge m->n exists when n's name followed by "(" appears in m's masked
-    body beyond n's own declaration sites; overloads collapse to one node.
+    body more often than n is declared inside m's span; overloads collapse
+    to one node. Edges are ordered by caller span, then callee node.
     """
-    names: list[str] = []
+    rank = {name: i for i, name in enumerate(dict.fromkeys(s.name for s in methods))}
+    edges: dict[tuple[str, str], None] = {}
     for span in methods:
-        if span.name not in names:
-            names.append(span.name)
-    if source is None:
-        masked_lines = None
-    else:
-        masked_lines = mask_source(source).split("\n")
-
-    decl_lines: dict[str, list[int]] = {}
-    for span in methods:
-        decl_lines.setdefault(span.name, []).append(span.start_line)
-
-    edges: list[tuple[str, str]] = []
-    call_res = {name: re.compile(rf"(?<![\w$]){re.escape(name)}\s*\(") for name in names}
-    for span in methods:
-        if masked_lines is not None:
-            body = "\n".join(masked_lines[span.start_line - 1:span.end_line])
-        else:
-            body = mask_source(span.body)
-        for name in names:
-            occurrences = len(call_res[name].findall(body))
-            declared_inside = sum(
-                1 for ln in decl_lines.get(name, ())
-                if span.start_line <= ln <= span.end_line
-            )
-            if occurrences > declared_inside and (span.name, name) not in edges:
-                edges.append((span.name, name))
-    return CallGraph(nodes=tuple(names), edges=tuple(edges))
+        calls = Counter(_CALL_RE.findall(span.masked_body))
+        calls.subtract(s.name for s in methods
+                       if span.start_line <= s.start_line <= span.end_line)
+        callees = [name for name, n in calls.items() if n > 0 and name in rank]
+        for name in sorted(callees, key=rank.__getitem__):
+            edges[(span.name, name)] = None
+    return CallGraph(nodes=tuple(rank), edges=tuple(edges))
 
 
 def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -257,10 +212,14 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
     if depth < 0 or max_lines < 0:
         raise ValueError("depth and max_lines must be >= 0")
     methods = extract_methods(source)
-    graph = build_call_graph(methods, source)
+    graph = build_call_graph(methods)
     spans_by_name: dict[str, list[MethodSpan]] = {}
     for span in methods:
         spans_by_name.setdefault(span.name, []).append(span)
+    neighbours: dict[str, set[str]] = {name: set() for name in graph.nodes}
+    for caller, callee in graph.edges:
+        neighbours[caller].add(callee)
+        neighbours[callee].add(caller)
     first_line = {name: spans[0].start_line for name, spans in spans_by_name.items()}
 
     changed = sorted(set(cs.changed_new_lines))
@@ -282,9 +241,7 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
     while frontier and waves < depth:
         nxt: list[str] = []
         for name in frontier:
-            neighbors = sorted(set(graph.callees(name)) | set(graph.callers(name)),
-                               key=lambda n: first_line[n])
-            for nb in neighbors:
+            for nb in sorted(neighbours[name], key=first_line.__getitem__):
                 if nb not in seen:
                     seen.add(nb)
                     order.append(nb)

@@ -91,10 +91,10 @@ def run_debate(record, cs, ctx, cfg: DebateConfig, client) -> DebateTranscript:
 
     messages: list[tuple[str, int, str]] = []
 
-    def ask(role: str, round_no: int) -> str:
+    def ask(role: str, round_no: int, suffix: str = "") -> str:
         bundle = build_role_prompt(role, record, cs, ctx, history=messages, round_no=round_no)
         request = ChatRequest.single_turn(
-            cfg.role_models[role], bundle.system, bundle.user,
+            cfg.role_models[role], bundle.system, bundle.user + suffix,
             tag=role, record_id=record.record_id, temperature=cfg.temperature)
         try:
             return client.complete(request)
@@ -111,17 +111,8 @@ def run_debate(record, cs, ctx, cfg: DebateConfig, client) -> DebateTranscript:
     verdict = parse_prediction(reply, "judge_markers")
     attempts = 1
     if verdict.parse_path == "failed":
-        bundle = build_role_prompt("judge", record, cs, ctx, history=messages,
-                                   round_no=judge_round)
-        retry_user = bundle.user + "\n\n[Previous unparseable reply]\n" + reply \
-            + "\n\n" + _REASK_REMINDER
-        request = ChatRequest.single_turn(
-            cfg.role_models["judge"], bundle.system, retry_user,
-            tag="judge", record_id=record.record_id, temperature=cfg.temperature)
-        try:
-            reply = client.complete(request)
-        except TransportError as exc:
-            raise DebateTransportFailure(record.record_id, messages, exc) from exc
+        reply = ask("judge", judge_round,
+                    "\n\n[Previous unparseable reply]\n" + reply + "\n\n" + _REASK_REMINDER)
         verdict = parse_prediction(reply, "judge_markers")
         attempts = 2
     messages.append(("judge", judge_round, reply))

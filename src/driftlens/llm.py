@@ -22,8 +22,13 @@ DEFAULT_BASE_URL = "https://api.llm7.io/v1"
 BASE_URL_ENV = "DRIFTLENS_BASE_URL"
 API_KEY_ENV = "DRIFTLENS_API_KEY"
 
-_MARKER_RE = re.compile(r"###\s*Final Prediction\s*:\s*\**\s*(BENIGN|DEFECTIVE)", re.IGNORECASE)
-_CONFIDENCE_RE = re.compile(r"###\s*Confidence\s*:\s*\**\s*([0-9]+(?:\.[0-9]+)?)\s*%?", re.IGNORECASE)
+# "\s*(?:\*+\s*)?" reads what "\s*\**\s*" reads without quadratic backtracking
+_MARKER_RE = re.compile(r"###\s*Final Prediction\s*:\s*(?:\*+\s*)?(BENIGN|DEFECTIVE)",
+                        re.IGNORECASE)
+_CONFIDENCE_RE = re.compile(r"###\s*Confidence\s*:\s*(?:\*+\s*)?([0-9]+(?:\.[0-9]+)?)\s*%?",
+                            re.IGNORECASE)
+_BRACE_RE = re.compile(r"[{}]")
+_DECODER = json.JSONDecoder()
 _TOKEN_RE = re.compile(r"\b(defective|benign)\b", re.IGNORECASE)
 
 
@@ -207,28 +212,29 @@ def _find_json_object(raw: str) -> dict | None:
     try:
         obj = json.loads(raw)
         return obj if isinstance(obj, dict) else None
-    except ValueError:
+    except (ValueError, RecursionError):
         pass
-    # fall back to brace-balanced scanning (handles fenced or embedded JSON)
-    for start in range(len(raw)):
-        if raw[start] != "{":
+    # fall back to brace-balanced spans (fenced or embedded JSON), paired in
+    # one pass and tried by start; the first brace left open ends the search
+    starts: list[int] = []
+    open_braces: list[int] = []
+    close_of: dict[int, int] = {}
+    for m in _BRACE_RE.finditer(raw):
+        if m[0] == "{":
+            starts.append(m.start())
+            open_braces.append(m.start())
+        elif open_braces:
+            close_of[open_braces.pop()] = m.start()
+    for start in starts:
+        if start not in close_of:
+            return None
+        try:
+            obj, stop = _DECODER.raw_decode(raw, start)
+        except (ValueError, RecursionError):
             continue
-        depth = 0
-        for end in range(start, len(raw)):
-            if raw[end] == "{":
-                depth += 1
-            elif raw[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(raw[start:end + 1])
-                    except ValueError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        else:
-            break
+        # the span alone parses exactly when parsing from its start ends at its close
+        if stop == close_of[start] + 1 and isinstance(obj, dict):
+            return obj
     return None
 
 

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, PipelineStageError
 from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_prediction
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
-from .prompting import build_method_prompt
+from .prompting import METHOD_IDS, ROLES, build_method_prompt
 
 
 @dataclass
@@ -69,11 +69,16 @@ class RunConfig:
         return chosen[0]
 
     def validate(self) -> None:
+        """Reject a config that cannot run, before any input is loaded."""
         self.selector()
         if self.baseline and self.baseline not in BASELINE_KINDS:
             raise ConfigurationError(f"unknown baseline {self.baseline!r}")
-        if self.method and self.method not in {f"M{i}" for i in range(9)}:
+        if self.method and self.method not in METHOD_IDS:
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if self.max_in_flight < 1:
+            raise ConfigurationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        self.role_models()
+        self.subset_caps()
 
     def match_params(self) -> MatchParams:
         return MatchParams(threshold=self.threshold, gap_multiplier=self.gap_multiplier)
@@ -83,8 +88,8 @@ class RunConfig:
         if self.roles:
             for item in self.roles.split(","):
                 role, _, model = item.partition("=")
-                if not model:
-                    raise ConfigurationError(f"bad roles entry {item!r}")
+                if role.strip() not in ROLES or not model:
+                    raise ConfigurationError(f"bad roles entry {item!r}; roles are {ROLES}")
                 models[role.strip()] = model.strip()
         return models
 
@@ -103,18 +108,23 @@ class RunConfig:
         return caps
 
 
-def _coerce(raw: str, kind):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(f"bad boolean value {raw!r}")
-    return kind(raw.strip())
-
-
 FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _coerce(key: str, raw: str, lineno: int):
+    kind = FIELD_TYPES[key]
+    value = raw.strip()
+    if kind is bool:
+        if value.lower() in ("1", "true", "yes", "on"):
+            return True
+        if value.lower() in ("0", "false", "no", "off"):
+            return False
+    else:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"bad {kind.__name__} value {value!r} for {key!r} at line {lineno}")
 
 
 def config_from_lines(lines) -> RunConfig:
@@ -130,7 +140,7 @@ def config_from_lines(lines) -> RunConfig:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ConfigurationError(f"unknown config key {key!r} at line {lineno}")
-        values[key] = _coerce(raw, FIELD_TYPES[key])
+        values[key] = _coerce(key, raw, lineno)
     return RunConfig(**values)
 
 

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlens.context import (
     build_call_graph,
@@ -45,6 +49,61 @@ def java_chain(edges, n_methods, filler=None):
     return "\n".join(lines) + "\n"
 
 
+def reference_mask(source):
+    """The per-character masker that mask_source must equal."""
+    out = list(source)
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        nxt = source[i + 1] if i + 1 < n else ""
+        if ch == "/" and nxt == "/":
+            while i < n and source[i] != "\n":
+                out[i] = " "
+                i += 1
+        elif ch == "/" and nxt == "*":
+            out[i] = out[i + 1] = " "
+            i += 2
+            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
+                if source[i] != "\n":
+                    out[i] = " "
+                i += 1
+            if i < n:
+                out[i] = out[i + 1] = " "
+                i += 2
+        elif ch in ('"', "'"):
+            quote = ch
+            i += 1
+            while i < n and source[i] != quote:
+                if source[i] == "\\" and i + 1 < n:
+                    out[i] = out[i + 1] = " "
+                    i += 2
+                    continue
+                if source[i] != "\n":
+                    out[i] = " "
+                i += 1
+            i += 1
+        else:
+            i += 1
+    return "".join(out)
+
+
+def reference_call_graph(methods, source):
+    """(nodes, edges) by one call regex per method name over the masked source."""
+    names = list(dict.fromkeys(span.name for span in methods))
+    masked_lines = reference_mask(source).split("\n")
+    edges = []
+    for span in methods:
+        body = "\n".join(masked_lines[span.start_line - 1:span.end_line])
+        for name in names:
+            calls = len(re.findall(rf"(?<![\w$]){re.escape(name)}\s*\(", body))
+            declared = sum(1 for other in methods if other.name == name
+                           and span.start_line <= other.start_line <= span.end_line)
+            if calls > declared and (span.name, name) not in edges:
+                edges.append((span.name, name))
+    return tuple(names), tuple(edges)
+
+
 class TestMasking:
     def test_string_braces_masked(self):
         masked = mask_source('String s = "}{";')
@@ -61,6 +120,16 @@ class TestMasking:
     def test_escaped_quote_in_string(self):
         masked = mask_source(r'x = "a\"}";')
         assert "}" not in masked
+
+    def test_unterminated_and_escaped_edges(self):
+        assert mask_source('a "b\\\nc') == 'a "    '
+        assert mask_source("x /* {\n}") == "x     \n "
+        assert mask_source("'\\") == "' "
+
+    @given(st.text(alphabet="/*\"'\\\n{}()a", max_size=80))
+    @settings(max_examples=600, deadline=None)
+    def test_equals_reference_masker(self, source):
+        assert mask_source(source) == reference_mask(source)
 
 
 class TestExtractMethods:
@@ -202,7 +271,7 @@ class TestKitchenSink:
 
     def test_graph_edges_on_messy_java(self):
         methods = extract_methods(KITCHEN_SINK)
-        graph = build_call_graph(methods, KITCHEN_SINK)
+        graph = build_call_graph(methods)
         assert ("run", "helper") in graph.edges
         assert ("index", "helper") in graph.edges
         assert ("helper", "run") not in graph.edges  # nested decl is not a call
@@ -221,14 +290,14 @@ class TestKitchenSink:
 class TestCallGraph:
     def test_defect_example_edge(self):
         methods = extract_methods(DEFECT_EXAMPLE)
-        graph = build_call_graph(methods, DEFECT_EXAMPLE)
+        graph = build_call_graph(methods)
         assert ("main", "calculateSum") in graph.edges
         assert ("calculateSum", "main") not in graph.edges
         assert ("calculateSum", "calculateSum") not in graph.edges  # decl is not a call
 
     def test_no_mutual_mention_no_edges(self):
         src = java_chain([], 2)
-        graph = build_call_graph(extract_methods(src), src)
+        graph = build_call_graph(extract_methods(src))
         assert graph.edges == ()
 
     def test_chain_with_overload_collapse(self):
@@ -241,7 +310,7 @@ class TestCallGraph:
             "}\n"
         )
         methods = extract_methods(src)
-        graph = build_call_graph(methods, src)
+        graph = build_call_graph(methods)
         assert set(graph.nodes) == {"a", "b", "c"}
         assert set(graph.edges) == {("a", "b"), ("b", "c")}
 
@@ -253,7 +322,7 @@ class TestCallGraph:
             "    }\n"
             "}\n"
         )
-        graph = build_call_graph(extract_methods(src), src)
+        graph = build_call_graph(extract_methods(src))
         assert ("fact", "fact") in graph.edges
 
     def test_call_inside_string_ignored(self):
@@ -263,8 +332,31 @@ class TestCallGraph:
             "    public void b() { int k = 0; }\n"
             "}\n"
         )
-        graph = build_call_graph(extract_methods(src), src)
+        graph = build_call_graph(extract_methods(src))
         assert ("a", "b") not in graph.edges
+
+
+DECOYS = ('log("m{}()");', "// m{}() in a comment", "/* m{}( */", "char c = '('; // m{}(",
+          'String s = "\\"m{}(";', "m{} (0);")
+
+
+@st.composite
+def chain_with_decoys(draw):
+    """A java_chain source with call names hidden in literals and comments."""
+    n = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    src = java_chain(draw(st.lists(pair, max_size=10)), n)
+    for (i, j), decoy in draw(st.lists(st.tuples(pair, st.sampled_from(DECOYS)), max_size=8)):
+        src = src.replace(f"int v{i} = {i};", f"int v{i} = {i}; " + decoy.format(j), 1)
+    return src
+
+
+@given(chain_with_decoys())
+@settings(max_examples=200, deadline=None)
+def test_call_graph_equals_per_name_rule(src):
+    methods = extract_methods(src)
+    graph = build_call_graph(methods)
+    assert (graph.nodes, graph.edges) == reference_call_graph(methods, src)
 
 
 def change_in_method(source, method_name):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from driftlens.errors import ConfigurationError, TransportError
@@ -213,11 +215,22 @@ class TestParsing:
     def test_totality_over_many_shapes(self):
         shapes = ["", "{}", "{broken json", "### Final Prediction:", "DEFECT",
                   "benign defective benign", '{"prediction": "maybe"}', "42",
-                  "### Confidence: 90"]
+                  "### Confidence: 90", "[" * 100_000, "{" * 1000 + "}" * 1000,
+                  "### Final Prediction:" + " " * 1000 + "**"]
         for raw in shapes:
             for expect in ("json_shape", "judge_markers"):
                 parsed = parse_prediction(raw, expect)
                 assert parsed.parse_path in ("json", "marker", "regex_fallback", "failed")
+
+    def test_adversarial_replies_parse_in_linear_time(self):
+        # each reply took seconds with a quadratic brace scan or regex backtracking
+        replies = ["{" * 4000 + "}" * 4000,
+                   "### Final Prediction:" + " " * 10_000,
+                   "### Final Prediction: BENIGN\n### Confidence:" + " " * 10_000]
+        started = time.perf_counter()
+        paths = [parse_prediction(raw, "judge_markers").parse_path for raw in replies]
+        assert time.perf_counter() - started < 1.0
+        assert paths == ["failed", "failed", "marker"]
 
     def test_failed_prediction_cannot_carry_label(self):
         with pytest.raises(ValueError):

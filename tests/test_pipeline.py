@@ -426,9 +426,15 @@ class TestCli:
     def test_cli_error_path(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
         inputs = ["--old", str(old_csv), "--new", str(new_csv)]
+        bad_seed = tmp_path / "bad_seed.conf"
+        bad_seed.write_text(f"old_csv = {old_csv}\nnew_csv = {new_csv}\nbaseline = all_benign\n"
+                            "seed = abc\n", encoding="utf-8")
         for argv in (["diff", *inputs, "--record", "missing.java"],
                      ["context", *inputs, "--record", "pkg/Fresh.java"],  # an added file
                      ["prompt", *inputs, "--record", "pkg/Fresh.java", "--method", "M5"],
-                     ["run", "--config", str(tmp_path / "missing.conf")]):
+                     ["run", "--config", str(tmp_path / "missing.conf")],
+                     ["run", "--config", str(bad_seed)],
+                     ["debate", *inputs, "--stub", "--roles", "judg=x"],
+                     ["predict", *inputs, "--method", "M5", "--stub", "--max-in-flight", "0"]):
             assert cli_main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
