@@ -128,9 +128,10 @@ def extract_methods(source: str) -> list[MethodSpan]:
         return []
     masked = mask_source(source)
     lines = source.split("\n")
-    masked_lines = masked.split("\n")
+    # offsets of each line start, then one past the end; masking keeps every
+    # offset but may blank a newline, so both texts are cut by source lines
     line_starts = [0]
-    for ln in lines[:-1]:
+    for ln in lines:
         line_starts.append(line_starts[-1] + len(ln) + 1)
 
     spans: list[MethodSpan] = []
@@ -164,8 +165,8 @@ def extract_methods(source: str) -> list[MethodSpan]:
                 signature=lines[start_line - 1],
                 start_line=start_line,
                 end_line=end_line,
-                body="\n".join(lines[start_line - 1:end_line]),
-                masked_body="\n".join(masked_lines[start_line - 1:end_line]),
+                body=source[line_starts[start_line - 1]:line_starts[end_line] - 1],
+                masked_body=masked[line_starts[start_line - 1]:line_starts[end_line] - 1],
             ))
     spans.sort(key=lambda s: (s.start_line, s.end_line))
     return spans

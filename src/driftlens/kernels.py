@@ -36,8 +36,7 @@ def hashed_line_set(lines: Sequence[str]) -> np.ndarray:
 def pack_line_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate hashed line sets into a CSR-style (flat, offsets) pair."""
     offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    for i, s in enumerate(sets):
-        offsets[i + 1] = offsets[i] + len(s)
+    np.cumsum([len(s) for s in sets], dtype=np.int64, out=offsets[1:])
     flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
     return flat, offsets
 
@@ -58,24 +57,19 @@ def _lcs_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Dice similarity of one hashed line set against many, 2|A∩B|/(|A|+|B|)."""
-    count = len(offsets) - 1
-    out = np.empty(count, dtype=np.float64)
-    nq = len(query)
-    for t in range(count):
-        seg = flat[offsets[t] : offsets[t + 1]]
-        denom = nq + len(seg)
-        if denom == 0:
-            out[t] = 1.0
-            continue
-        if nq == 0 or len(seg) == 0:
-            out[t] = 0.0
-            continue
-        idx = np.searchsorted(seg, query)
-        np.clip(idx, 0, len(seg) - 1, out=idx)
-        inter = int(np.count_nonzero(seg[idx] == query))
-        out[t] = 2.0 * inter / denom
-    return out
+    """Dice similarity of one hashed line set against many, 2|A∩B|/(|A|+|B|).
+
+    `query` must be sorted; every set holds distinct hashes. Two empty sets
+    score 1.0, and an empty set against a non-empty one scores 0.0.
+    """
+    pos = np.searchsorted(query, flat)
+    hit = pos < len(query)
+    hit[hit] = query[pos[hit]] == flat[hit]
+    hits = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(hit, out=hits[1:])
+    inter = hits[offsets[1:]] - hits[offsets[:-1]]
+    denom = len(query) + np.diff(offsets)
+    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
 
 
 def _backtrack(table: np.ndarray, a: np.ndarray, b: np.ndarray,

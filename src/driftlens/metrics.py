@@ -10,7 +10,7 @@ reported as absent rather than zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,6 @@ class EvaluationReport:
     counts: dict                         # subset -> evaluated count
     excluded: int
     elapsed_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     @property
     def total_f1(self) -> float | None:

@@ -199,20 +199,6 @@ _ANALYZER_TAIL = """Respond with:
 
 
 @dataclass(frozen=True)
-class PromptMethod:
-    """One of the nine single-shot prompting methods."""
-
-    id: str
-    required_inputs: frozenset[str]
-
-    @classmethod
-    def get(cls, method_id: str) -> "PromptMethod":
-        if method_id not in REQUIRED_INPUTS:
-            raise ConfigurationError(f"unknown method {method_id!r}; expected one of {METHOD_IDS}")
-        return cls(id=method_id, required_inputs=REQUIRED_INPUTS[method_id])
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     system: str
     user: str
@@ -240,30 +226,32 @@ def build_method_prompt(method_id: str, record, cs, ctx=None,
     record's actual old label. Raises ConfigurationError naming the missing
     block when a required input is absent.
     """
-    method = PromptMethod.get(method_id)
+    required = REQUIRED_INPUTS.get(method_id)
+    if required is None:
+        raise ConfigurationError(f"unknown method {method_id!r}; expected one of {METHOD_IDS}")
     values = {}
-    if "prev_label" in method.required_inputs:
+    if "prev_label" in required:
         if record.old_file is None:
             raise ConfigurationError(f"{method_id} requires {BLOCK_NAMES['prev_label']}")
         values["prev"] = LABEL_WORDS[record.old_file.label]
-    if "src1" in method.required_inputs:
+    if "src1" in required:
         _require(method_id, "src1", record.old_file and record.old_file.source)
         values["src1"] = record.old_file.source
-    if "src2" in method.required_inputs:
+    if "src2" in required:
         _require(method_id, "src2", record.new_file.source)
         values["src2"] = record.new_file.source
-    if "differences" in method.required_inputs:
+    if "differences" in required:
         from .diffing import render_difference_list
 
         _require(method_id, "differences", cs)
         values["differences"] = render_difference_list(cs)
-    if "unified" in method.required_inputs:
+    if "unified" in required:
         _require(method_id, "unified", cs)
         values["unified"] = cs.unified
-    if "local_context" in method.required_inputs:
+    if "local_context" in required:
         _require(method_id, "local_context", ctx and ctx.snippet)
         values["local_context"] = ctx.snippet
-    if "exemplars" in method.required_inputs:
+    if "exemplars" in required:
         _require(method_id, "exemplars", exemplars)
         values["exemplars"] = _render_exemplars(exemplars)
 

@@ -335,6 +335,27 @@ class TestCallGraph:
         graph = build_call_graph(extract_methods(src))
         assert ("a", "b") not in graph.edges
 
+    def test_escaped_newline_in_literal_keeps_bodies_aligned(self):
+        src = (
+            "public class X {\n"
+            '    String s = "a\\\n'
+            'b";\n'
+            "    public void a() {\n"
+            "        int k = 0;\n"
+            "    }\n"
+            "    public void b() {\n"
+            "        c();\n"
+            "    }\n"
+            "    public void c() {\n"
+            "        int k = 0;\n"
+            "    }\n"
+            "}\n"
+        )
+        methods = extract_methods(src)
+        assert [m.name for m in methods] == ["a", "b", "c"]
+        assert [m.masked_body for m in methods] == [mask_source(m.body) for m in methods]
+        assert build_call_graph(methods).edges == (("b", "c"),)
+
 
 DECOYS = ('log("m{}()");', "// m{}() in a comment", "/* m{}( */", "char c = '('; // m{}(",
           'String s = "\\"m{}(";', "m{} (0);")

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftlens import kernels
 
@@ -51,6 +53,46 @@ def test_dice_batch_conventions():
     flat, offsets = kernels.pack_line_sets([np.array([1, 2, 3], dtype=np.int64)])
     scores = kernels.dice_batch(np.array([2, 3, 4], dtype=np.int64), flat, offsets)
     assert scores[0] == pytest.approx(2 * 2 / 6)
+
+
+def reference_dice(query, flat, offsets):
+    # The per-candidate loop dice_batch replaced: searches each segment
+    # (sorted) for the query's hashes, with both empty-set cases by hand.
+    count = len(offsets) - 1
+    out = np.empty(count, dtype=np.float64)
+    nq = len(query)
+    for t in range(count):
+        seg = flat[offsets[t] : offsets[t + 1]]
+        denom = nq + len(seg)
+        if denom == 0:
+            out[t] = 1.0
+            continue
+        if nq == 0 or len(seg) == 0:
+            out[t] = 0.0
+            continue
+        idx = np.searchsorted(seg, query)
+        np.clip(idx, 0, len(seg) - 1, out=idx)
+        inter = int(np.count_nonzero(seg[idx] == query))
+        out[t] = 2.0 * inter / denom
+    return out
+
+
+# a small pool, so values recur across the query and the segments, plus
+# the int64 extremes searchsorted must place at either end
+hash_sets = st.sets(st.one_of(st.integers(-6, 6), st.sampled_from([-2**63, 2**63 - 1])),
+                    max_size=10).map(lambda s: np.array(sorted(s), dtype=np.int64))
+
+
+@given(hash_sets, st.lists(hash_sets, max_size=8))
+@example(np.empty(0, dtype=np.int64), [])
+@example(np.empty(0, dtype=np.int64), [np.empty(0, dtype=np.int64), np.array([3], dtype=np.int64)])
+@example(np.array([1, 2], dtype=np.int64), [np.empty(0, dtype=np.int64)] * 3)
+@settings(max_examples=400, deadline=None)
+def test_dice_batch_equals_per_candidate_loop(query, sets):
+    flat, offsets = kernels.pack_line_sets(sets)
+    scores = kernels.dice_batch(query, flat, offsets)
+    assert scores.dtype == np.float64
+    assert scores.tobytes() == reference_dice(query, flat, offsets).tobytes()
 
 
 def test_cell_budget_degrades_to_replace_block(monkeypatch):
