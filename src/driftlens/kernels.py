@@ -1,6 +1,7 @@
-"""Hot numeric kernels: LCS alignment tables and batched Dice similarity.
+"""Hot numeric kernels: bit-parallel LCS alignment and batched Dice similarity.
 
-Both kernels are row- or segment-vectorised numpy.
+LCS fills each row of the table as one Python-int bitset, 64 cells per
+machine word; Dice scores all candidates of a query in one numpy pass.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-# Full-table LCS memory guard: middles larger than this many cells (after
-# common prefix/suffix stripping) are treated as one opaque replace block
-# instead of being aligned line-by-line. 16M cells = 64 MB of int32.
+# LCS size guard: middles larger than this many cells (after common
+# prefix/suffix stripping) are treated as one opaque replace block instead of
+# being aligned line-by-line. The kept row bits take (n+1)*m bits, 2 MB at
+# this budget; the value stays so that output on over-budget middles is
+# unchanged.
 LCS_CELL_BUDGET = 16_000_000
 
 # Name of the kernel implementation, reported in benchmark environment lines.
@@ -41,21 +44,6 @@ def pack_line_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
-def _lcs_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = len(a), len(b)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
-    if m == 0:
-        return table
-    for i in range(1, n + 1):
-        prev = table[i - 1]
-        # L[i][j] = max(up, diag-candidate, L[i][j-1]); the last term is a
-        # running maximum because LCS rows are nondecreasing.
-        t = np.maximum(prev[1:], np.where(b == a[i - 1], prev[:-1] + 1, 0))
-        np.maximum.accumulate(t, out=t)
-        table[i, 1:] = t
-    return table
-
-
 def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Dice similarity of one hashed line set against many, 2|A∩B|/(|A|+|B|).
 
@@ -72,9 +60,45 @@ def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.n
     return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
 
 
-def _backtrack(table: np.ndarray, a: np.ndarray, b: np.ndarray,
-               a_tb: np.ndarray, b_tb: np.ndarray) -> list[tuple[int, int]]:
-    """Recover one LCS alignment from a filled table.
+def _bitmask(positions: list[int], width: int) -> int:
+    """The int with bit j set for each j in positions, all below width."""
+    if len(positions) == 1:
+        return 1 << positions[0]
+    # one byte write per position; OR-ing 1 << j into an int costs O(width)
+    # each, which is quadratic on a long run of one repeated line
+    mark = bytearray((width + 7) >> 3)
+    for j in positions:
+        mark[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(mark, "little")
+
+
+def _step_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
+    """Rows 0..len(a) of the LCS table L of a and b, as step bitsets.
+
+    Bit j of row i is set where L[i][j+1] - L[i][j] == 1, so L[i][j] is the
+    popcount of the row's low j bits. Each row follows from the last by
+    Hyyrö's recurrence V' = (V + (V & M)) | (V & ~M) on V, the complement of
+    the step bits, with M the positions in b of the row's line of a
+    (Allison & Dix 1986; Hyyrö 2004).
+    """
+    shared = set(a)  # only lines of a are ever looked up
+    spots: dict[str, list[int]] = {}
+    for j, line in enumerate(b):
+        if line in shared:
+            spots.setdefault(line, []).append(j)
+    match = {line: _bitmask(js, len(b)) for line, js in spots.items()}
+    full = (1 << len(b)) - 1
+    v = full
+    rows = [0]
+    for line in a:
+        u = v & match.get(line, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v ^ full)
+    return rows
+
+
+def _walk_back(a: Sequence[str], b: Sequence[str], rows: list[int]) -> list[tuple[int, int]]:
+    """Recover one LCS alignment of a and b from their step rows.
 
     Ties between the up/left moves are broken by comparing content hashes of
     the two candidate lines, which makes the chosen alignment covariant under
@@ -87,17 +111,13 @@ def _backtrack(table: np.ndarray, a: np.ndarray, b: np.ndarray,
             pairs.append((i - 1, j - 1))
             i -= 1
             j -= 1
+            continue
+        up = (rows[i - 1] & ((1 << j) - 1)).bit_count()
+        left = (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
+        if up > left or (up == left and line_hash64(a[i - 1]) <= line_hash64(b[j - 1])):
+            i -= 1
         else:
-            up = table[i - 1, j]
-            left = table[i, j - 1]
-            if up > left:
-                i -= 1
-            elif left > up:
-                j -= 1
-            elif a_tb[i - 1] <= b_tb[j - 1]:
-                i -= 1
-            else:
-                j -= 1
+            j -= 1
     pairs.reverse()
     return pairs
 
@@ -106,7 +126,7 @@ def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int,
     """Indices (i, j) of one longest common subsequence of two line lists.
 
     Common prefix and suffix are matched directly; the remaining middle is
-    aligned with a full LCS table. Middles over LCS_CELL_BUDGET
+    aligned with bit-parallel LCS rows. Middles over LCS_CELL_BUDGET
     cells get no interior matches (rendered as one replace block), which keeps
     memory bounded on pathological pairs.
     """
@@ -123,15 +143,8 @@ def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int,
     mid_a = a_lines[prefix : n - suffix]
     mid_b = b_lines[prefix : m - suffix]
     if mid_a and mid_b and (len(mid_a) + 1) * (len(mid_b) + 1) <= LCS_CELL_BUDGET:
-        interned: dict[str, int] = {}
-        a_ids = np.fromiter((interned.setdefault(ln, len(interned)) for ln in mid_a),
-                            dtype=np.int64, count=len(mid_a))
-        b_ids = np.fromiter((interned.setdefault(ln, len(interned)) for ln in mid_b),
-                            dtype=np.int64, count=len(mid_b))
-        a_tb = np.fromiter((line_hash64(ln) for ln in mid_a), dtype=np.int64, count=len(mid_a))
-        b_tb = np.fromiter((line_hash64(ln) for ln in mid_b), dtype=np.int64, count=len(mid_b))
-        table = _lcs_table(a_ids, b_ids)
-        pairs.extend((i + prefix, j + prefix) for i, j in _backtrack(table, a_ids, b_ids, a_tb, b_tb))
+        rows = _step_rows(mid_a, mid_b)
+        pairs.extend((i + prefix, j + prefix) for i, j in _walk_back(mid_a, mid_b, rows))
     for k in range(suffix):
         pairs.append((n - suffix + k, m - suffix + k))
     return pairs

@@ -77,6 +77,19 @@ class RunConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.max_in_flight < 1:
             raise ConfigurationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.diff_context < 0:
+            raise ConfigurationError(f"diff_context must be >= 0, got {self.diff_context}")
+        if self.depth < 0 or self.max_lines < 0:
+            raise ConfigurationError(
+                f"depth and max_lines must be >= 0, got {self.depth} and {self.max_lines}")
+        if self.exemplar_count < 0:
+            raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
+        try:
+            self.match_params()
+            if self.debate:
+                self.debate_config()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         self.role_models()
         self.subset_caps()
 

@@ -95,6 +95,100 @@ def test_dice_batch_equals_per_candidate_loop(query, sets):
     assert scores.tobytes() == reference_dice(query, flat, offsets).tobytes()
 
 
+def _lcs_table(a, b):
+    n, m = len(a), len(b)
+    table = np.zeros((n + 1, m + 1), dtype=np.int32)
+    if m == 0:
+        return table
+    for i in range(1, n + 1):
+        prev = table[i - 1]
+        # L[i][j] = max(up, diag-candidate, L[i][j-1]); the last term is a
+        # running maximum because LCS rows are nondecreasing.
+        t = np.maximum(prev[1:], np.where(b == a[i - 1], prev[:-1] + 1, 0))
+        np.maximum.accumulate(t, out=t)
+        table[i, 1:] = t
+    return table
+
+
+def _backtrack(table, a, b, a_tb, b_tb):
+    pairs = []
+    i, j = len(a), len(b)
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            pairs.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        else:
+            up = table[i - 1, j]
+            left = table[i, j - 1]
+            if up > left:
+                i -= 1
+            elif left > up:
+                j -= 1
+            elif a_tb[i - 1] <= b_tb[j - 1]:
+                i -= 1
+            else:
+                j -= 1
+    pairs.reverse()
+    return pairs
+
+
+def reference_lcs_pairs(a_lines, b_lines):
+    # The full int32 table and its backtrack that lcs_pairs replaced with
+    # bit-parallel rows; same prefix/suffix stripping and cell budget.
+    n, m = len(a_lines), len(b_lines)
+    prefix = 0
+    while prefix < n and prefix < m and a_lines[prefix] == b_lines[prefix]:
+        prefix += 1
+    suffix = 0
+    while (suffix < n - prefix and suffix < m - prefix
+           and a_lines[n - 1 - suffix] == b_lines[m - 1 - suffix]):
+        suffix += 1
+    pairs = [(k, k) for k in range(prefix)]
+    mid_a = a_lines[prefix : n - suffix]
+    mid_b = b_lines[prefix : m - suffix]
+    if mid_a and mid_b and (len(mid_a) + 1) * (len(mid_b) + 1) <= kernels.LCS_CELL_BUDGET:
+        interned = {}
+        a_ids = np.array([interned.setdefault(ln, len(interned)) for ln in mid_a], dtype=np.int64)
+        b_ids = np.array([interned.setdefault(ln, len(interned)) for ln in mid_b], dtype=np.int64)
+        a_tb = np.array([kernels.line_hash64(ln) for ln in mid_a], dtype=np.int64)
+        b_tb = np.array([kernels.line_hash64(ln) for ln in mid_b], dtype=np.int64)
+        table = _lcs_table(a_ids, b_ids)
+        pairs.extend((i + prefix, j + prefix)
+                     for i, j in _backtrack(table, a_ids, b_ids, a_tb, b_tb))
+    pairs.extend((n - suffix + k, m - suffix + k) for k in range(suffix))
+    return pairs
+
+
+# lines from alphabets of 1-4 symbols, so up/left ties are common, with an
+# optional shared prefix and suffix around the two middles; 0-60 lines each
+line_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(
+    *[st.lists(st.sampled_from("abcd"[:size]), max_size=max_size)
+      for max_size in (8, 44, 44, 8)])).map(
+    lambda parts: (parts[0] + parts[1] + parts[3], parts[0] + parts[2] + parts[3]))
+
+DISTINCT = [f"line {k}" for k in range(40)]
+
+
+@given(line_pairs)
+@example(([], []))
+@example(([], ["a", "b"]))
+@example((["a", "b", "a"], []))
+@example((["a", "b", "a", "c"], ["a", "b", "a", "c"]))
+@example((DISTINCT[:25], DISTINCT[15:]))
+@settings(max_examples=500, deadline=None)
+def test_lcs_pairs_equals_int32_table(pair):
+    a, b = pair
+    assert kernels.lcs_pairs(a, b) == reference_lcs_pairs(a, b)
+
+
+@given(line_pairs)
+@settings(max_examples=500, deadline=None)
+def test_lcs_pairs_mirror_under_swap(pair):
+    a, b = pair
+    assert kernels.lcs_pairs(b, a) == [(j, i) for i, j in kernels.lcs_pairs(a, b)]
+
+
 def test_cell_budget_degrades_to_replace_block(monkeypatch):
     monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", 4)
     a = ["p", "x1", "y1", "z1", "s"]
@@ -102,6 +196,16 @@ def test_cell_budget_degrades_to_replace_block(monkeypatch):
     pairs = kernels.lcs_pairs(a, b)
     # prefix and suffix still align; the oversized middle yields no matches
     assert pairs == [(0, 0), (4, 4)]
+
+
+def test_cell_budget_boundary(monkeypatch):
+    a = ["p", "x1", "y1", "z1", "w", "s"]
+    b = ["p", "y1", "x2", "w", "q", "s"]
+    cells = (4 + 1) * (4 + 1)  # the middles after stripping "p" and "s"
+    monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", cells)
+    assert kernels.lcs_pairs(a, b) == [(0, 0), (2, 1), (4, 3), (5, 5)]
+    monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", cells - 1)
+    assert kernels.lcs_pairs(a, b) == [(0, 0), (5, 5)]
 
 
 def test_line_hash_is_stable():

@@ -438,3 +438,15 @@ class TestCli:
                      ["predict", *inputs, "--method", "M5", "--stub", "--max-in-flight", "0"]):
             assert cli_main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
+        # bad run values are rejected before loading, so nothing is written
+        no_exemplars = tmp_path / "no_exemplars.conf"
+        no_exemplars.write_text(f"old_csv = {old_csv}\nnew_csv = {new_csv}\nmethod = M7\n"
+                                "stub = true\nexemplar_count = -1\n", encoding="utf-8")
+        m5 = ["predict", *inputs, "--stub", "--method", "M5"]
+        for k, argv in enumerate(([*m5, "--diff-context", "-1"], [*m5, "-T", "2"],
+                                  ["debate", *inputs, "--stub", "--rounds", "0"],
+                                  ["run", "--config", str(no_exemplars)])):
+            out_dir = tmp_path / f"rejected{k}"
+            assert cli_main([*argv, "--out-dir", str(out_dir)]) == 2, argv
+            assert "error:" in capsys.readouterr().err
+            assert not (out_dir / "matches.csv").exists(), argv
