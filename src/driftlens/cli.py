@@ -148,8 +148,7 @@ def cmd_baseline(args) -> int:
     pipeline.write_predictions_csv(rows, args.out)
     if args.records_out:
         pipeline.write_records_csv(records, args.records_out)
-    preds = {row.record_id: row.pred_label for row in rows}
-    report = evaluate_predictions(records, preds, method=kind)
+    report = evaluate_predictions(rows, method=kind)
     print(render_text(report))
     print(f"wrote {args.out}")
     return 0
@@ -172,10 +171,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    records = pipeline.read_records_csv(args.records)
-    preds = pipeline.read_predictions_csv(args.preds)
-    evaluated = [r for r in records if r.record_id in preds]
-    report = evaluate_predictions(evaluated, preds, method=args.method)
+    rows = pipeline.read_predictions_csv(args.preds)
+    report = evaluate_predictions(rows, method=rows[0].method if rows else "")
     print(render_text(report))
     return 0
 
@@ -220,10 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                  (*DATASET_FIELDS, "rounds", "roles", *LLM_RUN_FIELDS), INPUT_FIELDS)
     p.set_defaults(debate=True)
 
-    p = sub.add_parser("evaluate", help="recompute a report from saved artifacts")
+    p = sub.add_parser("evaluate", help="recompute a run's report from its predictions.csv")
     p.add_argument("--preds", required=True)
-    p.add_argument("--records", required=True)
-    p.add_argument("--method", default="saved")
     p.set_defaults(fn=cmd_evaluate)
 
     p = _command(sub, "run", cmd_run, "full pipeline from a flat key=value config file",

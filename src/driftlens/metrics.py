@@ -10,6 +10,7 @@ reported as absent rather than zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +54,26 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def _class_prf(labels, preds, cls) -> tuple[float, float, float]:
-    tp = float(np.sum((preds == cls) & (labels == cls)))
-    fp = float(np.sum((preds == cls) & (labels != cls)))
-    fn = float(np.sum((preds != cls) & (labels == cls)))
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
-    f1 = _safe_div(2 * precision * recall, precision + recall)
-    return precision, recall, f1
+    return precision, recall, _safe_div(2 * precision * recall, precision + recall)
 
 
 def macro_prf(labels, preds) -> tuple[float, float, float]:
-    """Macro-averaged precision/recall/F1 over the two classes."""
+    """Macro-averaged precision/recall/F1 over the two classes of binary labels.
+
+    Class 0 reads the defective-class counts mirrored: its tp, fp and fn are
+    the tn, fn and fp of the same confusion matrix.
+    """
     labels = np.asarray(labels)
     preds = np.asarray(preds)
     if labels.size == 0 or labels.shape != preds.shape:
         raise ValueError("labels and preds must be equal-length and nonempty")
-    per_class = [_class_prf(labels, preds, cls) for cls in (0, 1)]
-    return tuple(float(np.mean([pc[k] for pc in per_class])) for k in range(3))
+    cc = ConfusionCounts.from_labels(labels, preds)
+    benign = _prf(cc.tn, cc.fn, cc.fp)
+    defective = _prf(cc.tp, cc.fp, cc.fn)
+    return tuple((b + d) / 2 for b, d in zip(benign, defective))
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -142,79 +145,46 @@ class EvaluationReport:
     excluded: int
     elapsed_seconds: float = 0.0
 
-    @property
-    def total_f1(self) -> float | None:
-        prf = self.populations.get("total")
-        return prf[2] if prf else None
 
+def evaluate_predictions(rows, method: str = "",
+                         elapsed_seconds: float = 0.0) -> EvaluationReport:
+    """Full report over prediction rows: anything with subset, new_label and pred_label.
 
-def subset_metrics(records, preds: dict) -> dict:
-    """Change-aware fragment: per-subset accuracies, HMB/HMD, population F1s.
-
-    Records whose id is missing from preds are excluded (and counted);
-    subsets with no evaluated records report accuracy None.
+    Rows whose pred_label is None are excluded (and counted). Every
+    transition subset is counted, and one with no evaluated rows reports
+    accuracy None; other subsets are counted where they occur.
     """
-    evaluated = [r for r in records if preds.get(r.record_id) is not None]
-    excluded = len(records) - len(evaluated)
-
-    accuracy: dict[str, float | None] = {}
-    counts: dict[str, int] = {}
-    for subset in SUBSET_ORDER:
-        members = [r for r in evaluated if r.subset == subset]
-        counts[subset] = len(members)
-        if members:
-            hits = sum(1 for r in members if preds[r.record_id] == r.new_file.label)
-            accuracy[subset] = hits / len(members)
-        else:
-            accuracy[subset] = None
+    evaluated = [r for r in rows if r.pred_label is not None]
+    counts = dict.fromkeys(SUBSET_ORDER, 0)
+    hits = Counter()
+    for r in evaluated:
+        counts[r.subset] = counts.get(r.subset, 0) + 1
+        hits[r.subset] += r.pred_label == r.new_label
+    accuracy = {s: hits[s] / counts[s] if counts[s] else None for s in SUBSET_ORDER}
 
     populations: dict[str, tuple | None] = {}
     for name, keep in (("total", None), ("changed", CHANGED_SUBSETS),
                        ("unchanged", UNCHANGED_SUBSETS)):
         members = [r for r in evaluated if keep is None or r.subset in keep]
-        if members:
-            labels = [r.new_file.label for r in members]
-            guesses = [preds[r.record_id] for r in members]
-            populations[name] = macro_prf(labels, guesses)
-        else:
-            populations[name] = None
+        populations[name] = macro_prf([r.new_label for r in members],
+                                      [r.pred_label for r in members]) if members else None
 
-    return {
-        "subset_accuracy": accuracy,
-        "hmb": harmonic_mean(accuracy["B00"], accuracy["D01"]),
-        "hmd": harmonic_mean(accuracy["B10"], accuracy["D11"]),
-        "populations": populations,
-        "counts": counts,
-        "excluded": excluded,
-    }
-
-
-def evaluate_predictions(records, preds: dict, method: str = "",
-                         elapsed_seconds: float = 0.0) -> EvaluationReport:
-    """Full report over whatever population `records` covers."""
-    fragment = subset_metrics(records, preds)
-    evaluated = [r for r in records if preds.get(r.record_id) is not None]
     if evaluated:
-        labels = [r.new_file.label for r in evaluated]
-        guesses = [preds[r.record_id] for r in evaluated]
-        auc, fpr, mcc = auc_fpr_mcc(labels, guesses)
+        auc, fpr, mcc = auc_fpr_mcc([r.new_label for r in evaluated],
+                                    [r.pred_label for r in evaluated])
     else:
         auc = fpr = mcc = 0.0
-    counts = dict(fragment["counts"])
-    for r in evaluated:
-        if r.subset not in SUBSET_ORDER:
-            counts[r.subset] = counts.get(r.subset, 0) + 1
     return EvaluationReport(
         method=method,
-        subset_accuracy=fragment["subset_accuracy"],
-        hmb=fragment["hmb"],
-        hmd=fragment["hmd"],
-        populations=fragment["populations"],
+        subset_accuracy=accuracy,
+        hmb=harmonic_mean(accuracy["B00"], accuracy["D01"]),
+        hmd=harmonic_mean(accuracy["B10"], accuracy["D11"]),
+        populations=populations,
         auc=auc,
         fpr=fpr,
         mcc=mcc,
         counts=counts,
-        excluded=fragment["excluded"],
+        excluded=len(rows) - len(evaluated),
         elapsed_seconds=elapsed_seconds,
     )
 

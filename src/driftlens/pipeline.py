@@ -23,7 +23,7 @@ from .context import extract_context
 from .corpus import load_version, normalize_lines
 from .debate import DebateConfig, run_debate, save_transcript
 from .diffing import diff
-from .errors import ConfigurationError, PipelineStageError
+from .errors import ConfigurationError, DataError, PipelineStageError
 from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_prediction
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
@@ -335,11 +335,14 @@ def write_matches_csv(records, path: str | Path) -> None:
     _write_record_rows(records, path, 5)
 
 
+PREDICTION_COLUMNS = ("record_id", "subset", "old_label", "new_label",
+                      "pred_label", "confidence", "parse_path", "method")
+
+
 def write_predictions_csv(rows: list[PredictionRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["record_id", "subset", "old_label", "new_label",
-                         "pred_label", "confidence", "parse_path", "method"])
+        writer.writerow(PREDICTION_COLUMNS)
         for row in rows:
             writer.writerow([
                 row.record_id, row.subset,
@@ -351,35 +354,51 @@ def write_predictions_csv(rows: list[PredictionRow], path: str | Path) -> None:
             ])
 
 
-def read_predictions_csv(path: str | Path) -> dict[str, int | None]:
-    preds: dict[str, int | None] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            raw = row["pred_label"]
-            preds[row["record_id"]] = int(raw) if raw != "" else None
-    return preds
+def _optional(kind, raw: str):
+    return None if raw == "" else kind(raw)
 
 
-def read_records_csv(path: str | Path):
-    """Rebuild lightweight evolution records (labels and subsets only)."""
-    from .corpus import VersionedFile
-    from .matching import EvolutionRecord
+def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
+    """The rows write_predictions_csv wrote for one run, in file order.
 
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            new = VersionedFile(path=row["new_path"], source="<new>",
-                                label=int(row["new_label"]), version_id="new")
-            old = None
-            if row["subset"] != "added":
-                old_source = "<new>" if row["subset"] == "unchanged_source" else "<old>"
-                old = VersionedFile(path=row["old_path"] or row["new_path"], source=old_source,
-                                    label=int(row["old_label"]), version_id="old")
-            similarity = float(row["similarity"]) if row.get("similarity") else None
-            records.append(EvolutionRecord(new_file=new, old_file=old,
-                                           match_kind=row["match_kind"],
-                                           subset=row["subset"], similarity=similarity))
-    return records
+    Raises ConfigurationError for an unreadable file or a missing column and
+    DataError for a malformed row, a label other than 0/1, a repeated
+    record_id, or rows of more than one method.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read predictions {path}: {exc.strerror}") from exc
+    rows: list[PredictionRow] = []
+    seen: set[str] = set()
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in PREDICTION_COLUMNS if name not in header]
+        if missing:
+            raise ConfigurationError(f"{path} lacks column(s) {', '.join(missing)}")
+        for cells in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(cells) != len(header):
+                raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
+            cell = dict(zip(header, cells))
+            try:
+                row = PredictionRow(
+                    cell["record_id"], cell["subset"], _optional(int, cell["old_label"]),
+                    int(cell["new_label"]), _optional(int, cell["pred_label"]),
+                    _optional(float, cell["confidence"]), cell["parse_path"], cell["method"])
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            if {row.old_label, row.new_label, row.pred_label} - {None, 0, 1}:
+                raise DataError(f"{where}: labels must be 0 or 1")
+            if row.record_id in seen:
+                raise DataError(f"{where} repeats record_id {row.record_id!r}")
+            seen.add(row.record_id)
+            rows.append(row)
+    methods = sorted({row.method for row in rows})
+    if len(methods) > 1:
+        raise DataError(f"{path} mixes the predictions of methods {methods}")
+    return rows
 
 
 @contextmanager
@@ -417,28 +436,26 @@ def run(config: RunConfig, client=None):
     selector = config.selector()
     with _stage("predict"):
         if selector == "baseline":
-            evaluated = records
             rows = baseline_rows(records, config.baseline)
         else:
-            evaluated = sample_records(records, config.subset_caps(), config.seed)
+            sampled = sample_records(records, config.subset_caps(), config.seed)
             if client is None:
                 client = make_client(config)
             if selector == "method":
                 exemplars = None
                 if config.method == "M7":
                     exemplars = pick_exemplars(old_set, config.exemplar_count, config.seed)
-                rows = predict_with_method(evaluated, config, client, exemplars)
+                rows = predict_with_method(sampled, config, client, exemplars)
             else:
                 transcripts_dir = out_dir / "transcripts"
-                rows = predict_with_debate(evaluated, config, client, transcripts_dir)
+                rows = predict_with_debate(sampled, config, client, transcripts_dir)
                 artifacts["transcripts"] = transcripts_dir
         write_predictions_csv(rows, out_dir / "predictions.csv")
         artifacts["predictions"] = out_dir / "predictions.csv"
 
     with _stage("evaluate"):
-        preds = {row.record_id: row.pred_label for row in rows}
         method_name = config.baseline or config.method or "debate"
-        report = evaluate_predictions(evaluated, preds, method=method_name,
+        report = evaluate_predictions(rows, method=method_name,
                                       elapsed_seconds=time.monotonic() - started)
         (out_dir / "report.txt").write_text(render_text(report) + "\n", encoding="utf-8")
         with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ subsets need it), and it appears only where a role is entitled to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, OrchestrationError
 
@@ -202,8 +202,6 @@ _ANALYZER_TAIL = """Respond with:
 class PromptBundle:
     system: str
     user: str
-    method: str
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def _require(method_id: str, name: str, value) -> None:
@@ -256,8 +254,7 @@ def build_method_prompt(method_id: str, record, cs, ctx=None,
         values["exemplars"] = _render_exemplars(exemplars)
 
     user = METHOD_TEMPLATES[method_id].format(**values) + "\n\n" + JSON_INSTRUCTION
-    return PromptBundle(system=SYSTEM_PROMPT, user=user, method=method_id,
-                        metadata={"record_id": record.record_id})
+    return PromptBundle(system=SYSTEM_PROMPT, user=user)
 
 
 def _render_history(history) -> str:
@@ -304,5 +301,4 @@ def build_role_prompt(role: str, record, cs, ctx, history=(), round_no: int = 0)
     else:
         sections.append(JSON_INSTRUCTION)
 
-    return PromptBundle(system=SYSTEM_PROMPT, user="\n\n".join(sections), method=role,
-                        metadata={"record_id": record.record_id, "round": round_no})
+    return PromptBundle(system=SYSTEM_PROMPT, user="\n\n".join(sections))

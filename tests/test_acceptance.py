@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from driftlens import pipeline
-from driftlens.baselines import predict_naive
 from driftlens.context import extract_context
 from driftlens.corpus import VersionedFile, VersionSet, load_version
 from driftlens.debate import DebateConfig, run_debate
@@ -62,8 +61,8 @@ def test_a1_naive_baseline_reproduction():
     assert new_set.defective_fraction() * 100 == pytest.approx(5.61, abs=0.1)
     matches = match_files(old_set, new_set, MatchParams(0.7, 1.0))
     records, _ = partition(old_set, new_set, matches)
-    preds = predict_naive(records, "label_persistent")
-    report = evaluate_predictions(records, preds, method="label_persistent")
+    report = evaluate_predictions(pipeline.baseline_rows(records, "label_persistent"),
+                                  method="label_persistent")
     elapsed = time.monotonic() - started
 
     precision, recall, f1 = report.populations["total"]

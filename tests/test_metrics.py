@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlens.corpus import VersionedFile
 from driftlens.matching import EvolutionRecord
@@ -13,8 +16,8 @@ from driftlens.metrics import (
     macro_prf,
     render_text,
     report_csv_rows,
-    subset_metrics,
 )
+from driftlens.pipeline import PredictionRow, baseline_rows
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,27 @@ def oracle_fpr_mcc(labels, preds):
     return fpr, mcc
 
 
+def class_prf_macro(labels, preds):
+    """macro_prf as it was: one mask count per class, averaged with np.mean."""
+    labels = np.asarray(labels)
+    preds = np.asarray(preds)
+    per_class = []
+    for cls in (0, 1):
+        tp = float(np.sum((preds == cls) & (labels == cls)))
+        fp = float(np.sum((preds == cls) & (labels != cls)))
+        fn = float(np.sum((preds != cls) & (labels == cls)))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append((precision, recall, f1))
+    return tuple(float(np.mean([pc[k] for pc in per_class])) for k in range(3))
+
+
+def row(record_id, subset, new_label, pred_label, old_label=None):
+    return PredictionRow(record_id, subset, old_label, new_label, pred_label, None,
+                         "json", "demo")
+
+
 def rec(record_id, subset, old_label, new_label):
     old = None
     if subset != "added":
@@ -95,6 +119,13 @@ class TestMacroPRF:
             got = macro_prf(labels, preds)
             want = oracle_prf(labels, preds)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
+    def test_bit_identical_to_per_class_counts(self, pairs):
+        labels = [label for label, _ in pairs]
+        preds = [pred for _, pred in pairs]
+        assert macro_prf(labels, preds) == class_prf_macro(labels, preds)
 
 
 class TestAucFprMcc:
@@ -155,46 +186,42 @@ class TestHarmonicMeans:
 
 
 class TestSubsetMetrics:
-    def make_records(self):
-        return [
-            rec("b00_hit", "B00", 0, 0), rec("b00_miss", "B00", 0, 0),
-            rec("b10", "B10", 1, 0),
-            rec("d01", "D01", 0, 1),
-            rec("d11", "D11", 1, 1),
-        ]
+    def make_rows(self, preds):
+        truth = {"b00_hit": ("B00", 0), "b00_miss": ("B00", 0), "b10": ("B10", 0),
+                 "d01": ("D01", 1), "d11": ("D11", 1)}
+        return [row(rid, subset, label, preds[rid]) for rid, (subset, label) in truth.items()
+                if rid in preds]
 
     def test_accuracies_and_hms(self):
-        records = self.make_records()
-        preds = {"b00_hit": 0, "b00_miss": 1, "b10": 1, "d01": 1, "d11": 1}
-        frag = subset_metrics(records, preds)
-        assert frag["subset_accuracy"]["B00"] == 0.5
-        assert frag["subset_accuracy"]["B10"] == 0.0
-        assert frag["subset_accuracy"]["D01"] == 1.0
-        assert frag["subset_accuracy"]["D11"] == 1.0
-        assert frag["hmb"] == pytest.approx(2 * 0.5 * 1.0 / 1.5)
-        assert frag["hmd"] == 0.0
+        rows = self.make_rows({"b00_hit": 0, "b00_miss": 1, "b10": 1, "d01": 1, "d11": 1})
+        report = evaluate_predictions(rows)
+        assert report.subset_accuracy["B00"] == 0.5
+        assert report.subset_accuracy["B10"] == 0.0
+        assert report.subset_accuracy["D01"] == 1.0
+        assert report.subset_accuracy["D11"] == 1.0
+        assert report.hmb == pytest.approx(2 * 0.5 * 1.0 / 1.5)
+        assert report.hmd == 0.0
 
     def test_excluded_records_counted(self):
-        records = self.make_records()
-        preds = {"b00_hit": 0, "b10": 1, "d01": None, "d11": 1}
-        frag = subset_metrics(records, preds)
-        assert frag["excluded"] == 2
-        assert frag["subset_accuracy"]["D01"] is None
+        rows = self.make_rows({"b00_hit": 0, "b00_miss": None, "b10": 1, "d01": None, "d11": 1})
+        report = evaluate_predictions(rows)
+        assert report.excluded == 2
+        assert report.subset_accuracy["D01"] is None
+        assert report.counts == {"B00": 1, "B10": 1, "D11": 1, "D01": 0}
 
     def test_empty_subset_absent_not_zero(self):
-        records = [rec("b00", "B00", 0, 0), rec("d11", "D11", 1, 1)]
-        frag = subset_metrics(records, {"b00": 0, "d11": 1})
-        assert frag["subset_accuracy"]["B10"] is None
-        assert frag["subset_accuracy"]["D01"] is None
-        assert frag["hmb"] == 0.0  # partner B00 exists
-        assert frag["hmd"] == pytest.approx(0.0)  # D11 exists, B10 absent
+        rows = [row("b00", "B00", 0, 0), row("d11", "D11", 1, 1)]
+        report = evaluate_predictions(rows)
+        assert report.subset_accuracy["B10"] is None
+        assert report.subset_accuracy["D01"] is None
+        assert report.hmb == 0.0  # partner B00 exists
+        assert report.hmd == pytest.approx(0.0)  # D11 exists, B10 absent
 
     def test_changed_unchanged_populations(self):
-        records = self.make_records()
-        preds = {r.record_id: 0 for r in records}
-        frag = subset_metrics(records, preds)
-        assert frag["populations"]["changed"] is not None
-        assert frag["populations"]["unchanged"] is not None
+        rows = self.make_rows(dict.fromkeys(("b00_hit", "b00_miss", "b10", "d01", "d11"), 0))
+        report = evaluate_predictions(rows)
+        assert report.populations["changed"] is not None
+        assert report.populations["unchanged"] is not None
 
 
 class TestNaiveBaselineProperties:
@@ -203,8 +230,8 @@ class TestNaiveBaselineProperties:
             rec("a", "B00", 0, 0), rec("b", "B10", 1, 0),
             rec("c", "D01", 0, 1), rec("d", "D11", 1, 1),
         ]
-        preds = predict_naive(records, "label_persistent")
-        report = evaluate_predictions(records, preds, method="label_persistent")
+        report = evaluate_predictions(baseline_rows(records, "label_persistent"),
+                                      method="label_persistent")
         assert report.subset_accuracy["B00"] == 1.0
         assert report.subset_accuracy["D11"] == 1.0
         assert report.subset_accuracy["B10"] == 0.0
@@ -244,9 +271,8 @@ class TestNaiveBaselineProperties:
 
 class TestReportRendering:
     def test_text_and_csv(self):
-        records = [rec("a", "B00", 0, 0), rec("b", "D01", 0, 1), rec("s", "unchanged_source", 0, 0)]
-        preds = {"a": 0, "b": 0, "s": 0}
-        report = evaluate_predictions(records, preds, method="demo", elapsed_seconds=1.25)
+        rows = [row("a", "B00", 0, 0), row("b", "D01", 1, 0), row("s", "unchanged_source", 0, 0)]
+        report = evaluate_predictions(rows, method="demo", elapsed_seconds=1.25)
         text = render_text(report)
         assert "demo" in text
         assert "HMB" in text and "HMD" in text
@@ -257,8 +283,7 @@ class TestReportRendering:
         assert report.counts["unchanged_source"] == 1
 
     def test_report_values_in_unit_range(self):
-        records = [rec("a", "B00", 0, 0), rec("b", "D01", 0, 1)]
-        report = evaluate_predictions(records, {"a": 0, "b": 1}, method="x")
+        report = evaluate_predictions([row("a", "B00", 0, 0), row("b", "D01", 1, 1)], method="x")
         for subset, value in report.subset_accuracy.items():
             if value is not None:
                 assert 0.0 <= value <= 1.0

@@ -3,13 +3,16 @@ import csv
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlens import pipeline
 from driftlens.cli import build_parser, main as cli_main
 from driftlens.corpus import VersionedFile, VersionSet, write_version
 from driftlens.errors import ConfigurationError, PipelineStageError
 from driftlens.llm import HttpChatClient, ScriptedChatClient
-from driftlens.pipeline import RunConfig, config_from_lines, config_lines
+from driftlens.metrics import render_text
+from driftlens.pipeline import PredictionRow, RunConfig, config_from_lines, config_lines
 
 
 def java_file(path, body_line, label=0, version="v"):
@@ -304,15 +307,31 @@ class TestStageErrors:
         assert err.value.stage == "load"
 
 
+labels = st.sampled_from([None, 0, 1])
+cells = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+prediction_rows = st.builds(
+    PredictionRow, record_id=cells, subset=cells, old_label=labels,
+    new_label=st.sampled_from([0, 1]), pred_label=labels,
+    confidence=st.one_of(st.none(), st.integers(0, 10_000).map(lambda k: k / 10_000)),
+    parse_path=cells, method=st.just("M5"))
+
+
 class TestArtifactReaders:
-    def test_records_csv_round_trip(self, corpus, tmp_path):
+    def test_predictions_csv_round_trip(self, corpus, tmp_path):
         config = base_config(corpus, tmp_path, baseline="label_persistent")
-        _, artifacts = pipeline.run(config)
-        records = pipeline.read_records_csv(artifacts["records"])
-        subsets = sorted(r.subset for r in records)
+        report, artifacts = pipeline.run(config)
+        rows = pipeline.read_predictions_csv(artifacts["predictions"])
+        subsets = sorted(row.subset for row in rows)
         assert subsets == sorted(["unchanged_source", "B00", "B10", "D01", "D11", "added"])
-        preds = pipeline.read_predictions_csv(artifacts["predictions"])
-        assert len(preds) == 6
+        assert pipeline.evaluate_predictions(rows, method="label_persistent") == \
+            dataclasses.replace(report, elapsed_seconds=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(prediction_rows, max_size=8, unique_by=lambda row: row.record_id))
+    def test_read_inverts_write(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("preds") / "predictions.csv"
+        pipeline.write_predictions_csv(rows, path)
+        assert pipeline.read_predictions_csv(path) == rows
 
 
 class TestCli:
@@ -359,8 +378,8 @@ class TestCli:
                          "--records-out", str(records_out)]) == 0
         assert out.exists()
         assert "label_persistent" in capsys.readouterr().out
-        assert cli_main(["evaluate", "--preds", str(out),
-                         "--records", str(records_out)]) == 0
+        assert records_out.exists()
+        assert cli_main(["evaluate", "--preds", str(out)]) == 0
         assert "HMB" in capsys.readouterr().out
 
     def test_predict_stub_and_evaluate(self, corpus, tmp_path, capsys):
@@ -369,9 +388,19 @@ class TestCli:
         assert cli_main(["predict", "--old", str(old_csv), "--new", str(new_csv),
                          "--method", "M5", "--stub", "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
-        assert cli_main(["evaluate", "--preds", str(out_dir / "predictions.csv"),
-                         "--records", str(out_dir / "records.csv")]) == 0
+        assert cli_main(["evaluate", "--preds", str(out_dir / "predictions.csv")]) == 0
         assert "HMB" in capsys.readouterr().out
+
+    def test_evaluate_reproduces_run_report(self, corpus, tmp_path, capsys):
+        client = ScriptedChatClient({
+            ("M5", "pkg/B00.java"): "no verdict in this reply",
+            ("M5", "pkg/D01.java"): '{"prediction": "Defective", "confidence": 0.8125}'})
+        config = base_config(corpus, tmp_path, method="M5")
+        report, artifacts = pipeline.run(config, client=client)
+        assert report.excluded == 1
+        assert cli_main(["evaluate", "--preds", str(artifacts["predictions"])]) == 0
+        expected = render_text(dataclasses.replace(report, elapsed_seconds=0.0))
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_debate_stub_cli(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
@@ -416,8 +445,6 @@ class TestCli:
         defaults = RunConfig()
         field_names = {f.name for f in dataclasses.fields(RunConfig)}
         for command, parser in subparsers.choices.items():
-            if command == "evaluate":  # its --method only labels the report
-                continue
             for action in parser._actions:
                 if (action.dest in field_names and not action.required
                         and action.default is not argparse.SUPPRESS):
@@ -429,13 +456,25 @@ class TestCli:
         bad_seed = tmp_path / "bad_seed.conf"
         bad_seed.write_text(f"old_csv = {old_csv}\nnew_csv = {new_csv}\nbaseline = all_benign\n"
                             "seed = abc\n", encoding="utf-8")
+        header = "record_id,subset,old_label,new_label,pred_label,confidence,parse_path,method\n"
+        bad_preds = {
+            "no_method_column": header.replace(",method", "") + "a,B00,0,0,0,,json\n",
+            "bad_label": header + "a,B00,0,yes,0,,json,M5\n",
+            "repeated_id": header + "a,B00,0,0,0,,json,M5\na,B00,0,0,1,,json,M5\n",
+            "two_methods": header + "a,B00,0,0,0,,json,M5\nb,B00,0,0,1,,json,M6\n",
+        }
+        evaluate = [["evaluate", "--preds", str(tmp_path / "missing.csv")]]
+        for name, text in bad_preds.items():
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+            evaluate.append(["evaluate", "--preds", str(tmp_path / f"{name}.csv")])
         for argv in (["diff", *inputs, "--record", "missing.java"],
                      ["context", *inputs, "--record", "pkg/Fresh.java"],  # an added file
                      ["prompt", *inputs, "--record", "pkg/Fresh.java", "--method", "M5"],
                      ["run", "--config", str(tmp_path / "missing.conf")],
                      ["run", "--config", str(bad_seed)],
                      ["debate", *inputs, "--stub", "--roles", "judg=x"],
-                     ["predict", *inputs, "--method", "M5", "--stub", "--max-in-flight", "0"]):
+                     ["predict", *inputs, "--method", "M5", "--stub", "--max-in-flight", "0"],
+                     *evaluate):
             assert cli_main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
         # bad run values are rejected before loading, so nothing is written
