@@ -1,19 +1,21 @@
 """Diff-anchored file-local context extraction.
 
 Each source is masked once: one regex finds every comment and string/char
-literal, and one substitution blanks them with offsets kept. Methods are
-located with signature heuristics plus brace balancing on the masked text,
-and each span keeps its masked body. A same-file, name-based call graph
-counts the `name(` tokens of each masked body in a single scan. Context
-expansion walks callers and callees outward from the methods touching
-changed lines, one wave per depth unit, and renders the visited bodies
-under a line budget.
+literal, and one substitution blanks them with offsets kept. One pass over
+the brackets of the masked text pairs every `(` and `{` with its closer.
+Methods are located by two signature regexes anchored on line starts; a
+signature's parameter list and body extents are then partner lookups, and
+each span keeps its masked body. A same-file, name-based call graph counts
+the `name(` tokens of each masked body in a single scan. Context expansion
+walks callers and callees outward from the methods touching changed lines,
+one wave per depth unit, and renders the visited bodies under a line
+budget.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,14 +29,17 @@ _CONTROL_KEYWORDS = frozenset({
     "instanceof", "break", "continue", "yield",
 })
 
+# The signature regexes scan "\n" + masked text, so a match starts at a
+# line start and ends at the "(" opening its parameter list. Indentation is
+# taken whole: no item after it can start with a blank.
 _SIG_RE = re.compile(
-    r"(?m)^[ \t]*"
+    r"\n[ \t]*(?![ \t])"
     r"((?:(?:" + "|".join(_MODIFIERS) + r")\s+)*)"     # modifiers
     r"([\w$][\w$.<>\[\], \t?&]*?)[ \t]+"               # return type, same line only
     r"([A-Za-z_$][\w$]*)[ \t]*\("                      # method name
 )
 _CTOR_RE = re.compile(
-    r"(?m)^[ \t]*"
+    r"\n[ \t]*(?![ \t])"
     r"((?:(?:public|protected|private|static|final|synchronized)\s+)+)"
     r"([A-Z][\w$]*)\s*\("
 )
@@ -51,7 +56,10 @@ _MASKED_RE = re.compile(
 _NOT_NEWLINE_RE = re.compile(r"[^\n]+")
 _LITERAL_BODY_RE = re.compile(r"\\.?|[^\\\n]+", re.DOTALL)
 _BODY_OR_END_RE = re.compile(r"[{;]")
-_CALL_RE = re.compile(r"(?<![\w$])([A-Za-z_$][\w$]*)\s*\(")
+_BRACKET_RE = re.compile(r"[(){}]")
+# an identifier not preceded by one of its own characters, then "(";
+# leading with the class lets the scan skip straight to identifier starts
+_CALL_RE = re.compile(r"([A-Za-z_$](?<![\w$].)[\w$]*)\s*\(")
 
 
 @dataclass(frozen=True)
@@ -109,17 +117,27 @@ def mask_source(source: str) -> str:
     return _MASKED_RE.sub(_blank, source)
 
 
-def _closing(masked: str, pos: int, opener: str, closer: str) -> int:
-    """Offset of the closer that balances the opener at `pos`, or -1."""
-    depth = 0
-    for i in range(pos, len(masked)):
-        if masked[i] == opener:
-            depth += 1
-        elif masked[i] == closer:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
+def _partners(masked: str) -> dict[int, int]:
+    """Offset of each balanced `(` or `{` mapped to the offset of its closer.
+
+    Parentheses and braces are paired independently. A closer with no open
+    partner is skipped, and an opener never closed has no entry.
+    """
+    partner: dict[int, int] = {}
+    parens: list[int] = []
+    braces: list[int] = []
+    for m in _BRACKET_RE.finditer(masked):
+        ch = m[0]
+        if ch == "(":
+            parens.append(m.start())
+        elif ch == "{":
+            braces.append(m.start())
+        elif ch == ")":
+            if parens:
+                partner[parens.pop()] = m.start()
+        elif braces:
+            partner[braces.pop()] = m.start()
+    return partner
 
 
 def extract_methods(source: str) -> list[MethodSpan]:
@@ -134,10 +152,15 @@ def extract_methods(source: str) -> list[MethodSpan]:
     for ln in lines:
         line_starts.append(line_starts[-1] + len(ln) + 1)
 
+    partner = _partners(masked)
+    # a match in text starts at its line's start in masked offsets, and
+    # its "(" sits at m.end() - 2 in masked offsets
+    text = "\n" + masked
+
     spans: list[MethodSpan] = []
     claimed: set[tuple[int, int]] = set()
     for pattern, name_group in ((_SIG_RE, 3), (_CTOR_RE, 2)):
-        for m in pattern.finditer(masked):
+        for m in pattern.finditer(text):
             name = m.group(name_group)
             if name in _CONTROL_KEYWORDS:
                 continue
@@ -145,15 +168,15 @@ def extract_methods(source: str) -> list[MethodSpan]:
                 head = m.group(2).split()
                 if any(tok in _CONTROL_KEYWORDS for tok in head):
                     continue
-            close = _closing(masked, m.end() - 1, "(", ")")
-            if close < 0:
+            close = partner.get(m.end() - 2)
+            if close is None:
                 continue
             # skip whitespace and a throws clause; require a body
             tail = _BODY_OR_END_RE.search(masked, close + 1)
             if tail is None or tail[0] == ";":
                 continue
-            end = _closing(masked, tail.start(), "{", "}")
-            if end < 0:
+            end = partner.get(tail.start())
+            if end is None:
                 continue
             start_line = bisect_right(line_starts, m.start())
             end_line = bisect_right(line_starts, end)
@@ -180,11 +203,14 @@ def build_call_graph(methods: list[MethodSpan]) -> CallGraph:
     to one node. Edges are ordered by caller span, then callee node.
     """
     rank = {name: i for i, name in enumerate(dict.fromkeys(s.name for s in methods))}
+    by_start = sorted(methods, key=lambda s: s.start_line)
+    starts = [s.start_line for s in by_start]
     edges: dict[tuple[str, str], None] = {}
     for span in methods:
         calls = Counter(_CALL_RE.findall(span.masked_body))
-        calls.subtract(s.name for s in methods
-                       if span.start_line <= s.start_line <= span.end_line)
+        declared = by_start[bisect_left(starts, span.start_line):
+                            bisect_right(starts, span.end_line)]
+        calls.subtract(s.name for s in declared)
         callees = [name for name, n in calls.items() if n > 0 and name in rank]
         for name in sorted(callees, key=rank.__getitem__):
             edges[(span.name, name)] = None

@@ -9,6 +9,7 @@ consumers via normalize_lines.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,6 +98,8 @@ def _parse_label(raw: str, row_number: int) -> int:
         count = float(text)
     except ValueError:
         raise DataError(f"unparseable label {raw!r} at row {row_number}") from None
+    if not math.isfinite(count):
+        raise DataError(f"non-finite bug count {raw!r} at row {row_number}")
     if count < 0:
         raise DataError(f"negative bug count {raw!r} at row {row_number}")
     return 1 if count > 0 else 0

@@ -169,6 +169,14 @@ def render_difference_list(cs: ChangeSet) -> str:
     return "\n".join(e[2] for e in entries)
 
 
+def _fold_marker(body: list) -> None:
+    """Fold a no-newline marker into the hunk entry before it."""
+    if not body:
+        raise DataError("stray no-newline marker in patch")
+    tag, text, _ = body[-1]
+    body[-1] = (tag, text, False)
+
+
 def _scan_hunks(unified: str):
     """Yield (old_start, old_count, new_start, new_count, body) per hunk.
 
@@ -194,10 +202,7 @@ def _scan_hunks(unified: str):
             entry = lines[pos]
             pos += 1
             if entry.startswith("\\"):
-                if not body:
-                    raise DataError("stray no-newline marker in patch")
-                tag, text, _ = body[-1]
-                body[-1] = (tag, text, False)
+                _fold_marker(body)
                 continue
             if not entry:
                 entry = " "  # blank context line
@@ -213,8 +218,7 @@ def _scan_hunks(unified: str):
                 raise DataError(f"unexpected patch line: {entry!r}")
             body.append((tag, text, True))
         if pos < len(lines) and lines[pos].startswith("\\"):
-            tag, text, _ = body[-1]
-            body[-1] = (tag, text, False)
+            _fold_marker(body)
             pos += 1
         yield old_start, old_count, new_start, new_count, body
 

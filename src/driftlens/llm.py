@@ -95,6 +95,25 @@ def _requests_transport(url, headers, payload, timeout):
     return resp.status_code, body
 
 
+def _reply_content(body) -> str:
+    """The first choice's message text of a 200 reply body."""
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):  # a body that is not an object lands here too
+        content = None
+    if not isinstance(content, str):
+        raise TransportError(f"malformed response body: {body!r}", 200)
+    return content
+
+
+def _token_count(value) -> int:
+    """A usage token count; one that is not a number counts 0."""
+    try:
+        return int(value or 0)
+    except (TypeError, ValueError, OverflowError):
+        return 0
+
+
 class HttpChatClient:
     """POSTs chat requests to <base>/chat/completions with bearer auth.
 
@@ -143,11 +162,9 @@ class HttpChatClient:
                 if status in (401, 403):
                     raise ConfigurationError(f"authentication failed (HTTP {status})")
                 if status == 200:
+                    content = _reply_content(body)
                     self._record(req, attempt + 1, elapsed, body)
-                    try:
-                        return body["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, TypeError):
-                        raise TransportError(f"malformed response body: {body!r}", status)
+                    return content
                 last_status = status
                 if status not in self.RETRYABLE:
                     raise TransportError(f"endpoint returned HTTP {status}", status)
@@ -162,9 +179,11 @@ class HttpChatClient:
             self.stats.calls += 1
             self.stats.attempts += attempts
             self.stats.total_latency += elapsed
-            usage = body.get("usage") or {}
-            self.stats.prompt_tokens += int(usage.get("prompt_tokens") or 0)
-            self.stats.completion_tokens += int(usage.get("completion_tokens") or 0)
+            usage = body.get("usage")
+            if not isinstance(usage, dict):
+                usage = {}
+            self.stats.prompt_tokens += _token_count(usage.get("prompt_tokens"))
+            self.stats.completion_tokens += _token_count(usage.get("completion_tokens"))
             self.stats.log.append((req.tag, req.record_id, attempts, round(elapsed, 4)))
 
 

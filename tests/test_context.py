@@ -1,16 +1,33 @@
+import importlib
 import re
+from bisect import bisect_right
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlens import context
 from driftlens.context import (
+    _CALL_RE,
+    _CONTROL_KEYWORDS,
+    _CTOR_RE,
+    _MODIFIERS,
+    _SIG_RE,
+    CallGraph,
+    MethodSpan,
+    _partners,
     build_call_graph,
     extract_context,
     extract_methods,
     mask_source,
 )
+from driftlens.corpus import load_version
 from driftlens.diffing import diff
+from driftlens.matching import SUBSETS, match_files, partition
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 DEFECT_EXAMPLE = """public class DefectExample {
     public static int calculateSum(int[] arr) {
@@ -475,3 +492,187 @@ class TestExtractContext:
         included = list(bundle.included_methods)
         assert set(included[:2]) == {"m1", "m3"}  # both seeds first, in span order
         assert included[0] == "m1"
+
+
+# The bracket walk, signature regexes, call rule, method extraction and call
+# graph that the one-pass versions replaced; they stay as oracles.
+REF_SIG_RE = re.compile(
+    r"(?m)^[ \t]*"
+    r"((?:(?:" + "|".join(_MODIFIERS) + r")\s+)*)"
+    r"([\w$][\w$.<>\[\], \t?&]*?)[ \t]+"
+    r"([A-Za-z_$][\w$]*)[ \t]*\("
+)
+REF_CTOR_RE = re.compile(
+    r"(?m)^[ \t]*"
+    r"((?:(?:public|protected|private|static|final|synchronized)\s+)+)"
+    r"([A-Z][\w$]*)\s*\("
+)
+REF_CALL_RE = re.compile(r"(?<![\w$])([A-Za-z_$][\w$]*)\s*\(")
+REF_BODY_OR_END_RE = re.compile(r"[{;]")
+
+
+def reference_closing(masked, pos, opener, closer):
+    """Offset of the closer that balances the opener at `pos`, or -1."""
+    depth = 0
+    for i in range(pos, len(masked)):
+        if masked[i] == opener:
+            depth += 1
+        elif masked[i] == closer:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def reference_extract_methods(source):
+    """Method spans found by per-signature bracket walks."""
+    if not source:
+        return []
+    masked = mask_source(source)
+    lines = source.split("\n")
+    line_starts = [0]
+    for ln in lines:
+        line_starts.append(line_starts[-1] + len(ln) + 1)
+    spans = []
+    claimed = set()
+    for pattern, name_group in ((REF_SIG_RE, 3), (REF_CTOR_RE, 2)):
+        for m in pattern.finditer(masked):
+            name = m.group(name_group)
+            if name in _CONTROL_KEYWORDS:
+                continue
+            if pattern is REF_SIG_RE and any(tok in _CONTROL_KEYWORDS
+                                             for tok in m.group(2).split()):
+                continue
+            close = reference_closing(masked, m.end() - 1, "(", ")")
+            if close < 0:
+                continue
+            tail = REF_BODY_OR_END_RE.search(masked, close + 1)
+            if tail is None or tail[0] == ";":
+                continue
+            end = reference_closing(masked, tail.start(), "{", "}")
+            if end < 0:
+                continue
+            start_line = bisect_right(line_starts, m.start())
+            end_line = bisect_right(line_starts, end)
+            if (start_line, end_line) in claimed:
+                continue
+            claimed.add((start_line, end_line))
+            spans.append(MethodSpan(
+                name=name,
+                signature=lines[start_line - 1],
+                start_line=start_line,
+                end_line=end_line,
+                body=source[line_starts[start_line - 1]:line_starts[end_line] - 1],
+                masked_body=masked[line_starts[start_line - 1]:line_starts[end_line] - 1],
+            ))
+    spans.sort(key=lambda s: (s.start_line, s.end_line))
+    return spans
+
+
+def reference_build_call_graph(methods):
+    """Call graph that filters every method against every span."""
+    rank = {name: i for i, name in enumerate(dict.fromkeys(s.name for s in methods))}
+    edges = {}
+    for span in methods:
+        calls = Counter(REF_CALL_RE.findall(span.masked_body))
+        calls.subtract(s.name for s in methods
+                       if span.start_line <= s.start_line <= span.end_line)
+        callees = [name for name, n in calls.items() if n > 0 and name in rank]
+        for name in sorted(callees, key=rank.__getitem__):
+            edges[(span.name, name)] = None
+    return CallGraph(nodes=tuple(rank), edges=tuple(edges))
+
+
+SIGNATURE_HEADS = ("\npublic static int foo(", "\n  private Foo(", "\n\tvoid bar (", "\nFoo(",
+                   "\n    synchronized List<T> baz$(", "\n  int[] é9(", "\n    if (",
+                   "\nnew Foo(", "\n  public\n  static Foo(", "\nreturn x(", "foo(")
+SIGNATURE_TAILS = (") {", ")\n{", ") throws X {", "int a, int b) {", ");", ")", "(", "{")
+BODY_CHUNKS = ("\n", "    ", "\t", "public ", "static ", "final ", "int ", "return ", "foo(1);",
+               "bar (x);", "Foo();", "baz$();", "é9();", "(", ")", "{", "}", ";", ", ", "9",
+               "$", "é", "x", '"a(}"', "'{'", '"\\\n"', "// c(\n", "/* } { */", "/* ")
+SIGNATURE_ENDS = ("\n}", "}", "\n}\n", "}}", "")
+
+
+@st.composite
+def java_like(draw):
+    """Signature-shaped sources with noise, unbalanced brackets and literals."""
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        parts.extend(draw(st.lists(st.sampled_from(BODY_CHUNKS), max_size=3)))
+        parts.append(draw(st.sampled_from(SIGNATURE_HEADS)))
+        parts.append(draw(st.sampled_from(SIGNATURE_TAILS)))
+        for chunk in draw(st.lists(st.sampled_from(BODY_CHUNKS + SIGNATURE_HEADS), max_size=8)):
+            parts.append(chunk if chunk not in SIGNATURE_HEADS else chunk + ") {")
+        parts.append(draw(st.sampled_from(SIGNATURE_ENDS)))
+    return "".join(parts)
+
+
+def fields(spans):
+    return [(s.name, s.signature, s.start_line, s.end_line, s.body, s.masked_body)
+            for s in spans]
+
+
+class TestOnePassOracles:
+    @given(st.text(alphabet="(){}a\n", max_size=80))
+    @settings(max_examples=600, deadline=None)
+    def test_partners_equal_bracket_walk(self, text):
+        expected = {}
+        for pos, ch in enumerate(text):
+            if ch in "({":
+                close = reference_closing(text, pos, ch, ")" if ch == "(" else "}")
+                if close >= 0:
+                    expected[pos] = close
+        assert _partners(text) == expected
+
+    @given(java_like())
+    @settings(max_examples=300, deadline=None)
+    def test_signature_patterns_equal_line_anchored_originals(self, source):
+        masked = mask_source(source)
+        for new, old in ((_SIG_RE, REF_SIG_RE), (_CTOR_RE, REF_CTOR_RE)):
+            # the new patterns scan "\n" + masked: starts agree, ends shift by one
+            got = [(m.start(), m.end() - 1, m.groups()) for m in new.finditer("\n" + masked)]
+            want = [(m.start(), m.end(), m.groups()) for m in old.finditer(masked)]
+            assert got == want
+
+    @given(java_like())
+    @settings(max_examples=300, deadline=None)
+    def test_call_pattern_equals_lookbehind_original(self, source):
+        masked = mask_source(source)
+        assert ([(m.span(), m.groups()) for m in _CALL_RE.finditer(masked)]
+                == [(m.span(), m.groups()) for m in REF_CALL_RE.finditer(masked)])
+        assert _CALL_RE.findall(masked) == REF_CALL_RE.findall(masked)
+
+    @given(java_like())
+    @settings(max_examples=400, deadline=None)
+    def test_extract_methods_equals_reference(self, source):
+        assert fields(extract_methods(source)) == fields(reference_extract_methods(source))
+
+    @given(java_like(), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_call_graph_equals_reference_on_any_span_order(self, source, rng):
+        methods = extract_methods(source)
+        shuffled = rng.sample(methods, len(methods))
+        for spans in (methods, shuffled, shuffled[: len(shuffled) // 2]):
+            assert build_call_graph(spans) == reference_build_call_graph(spans)
+
+
+def test_context_equals_reference_on_synthetic_pair(tmp_path, monkeypatch):
+    """Every changed file of a context-debate pair, at depth 0-3 and two budgets."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    paths = synth.write_pair(workloads.WORKLOADS["context-debate"].corpus, 5, tmp_path)
+    old_set, new_set = load_version(paths["old"]), load_version(paths["new"])
+    records, _ = partition(old_set, new_set, match_files(old_set, new_set))
+    changed = [r for r in records if r.subset in SUBSETS]
+    assert changed
+    cases = [(diff(r.old_file.source, r.new_file.source, path=r.record_id), r.new_file.source)
+             for r in changed]
+    got = [extract_context(cs, src, depth, budget)
+           for cs, src in cases for depth in range(4) for budget in (400, 60)]
+    monkeypatch.setattr(context, "extract_methods", reference_extract_methods)
+    monkeypatch.setattr(context, "build_call_graph", reference_build_call_graph)
+    want = [extract_context(cs, src, depth, budget)
+            for cs, src in cases for depth in range(4) for budget in (400, 60)]
+    assert got == want
+    assert any(bundle.truncated for bundle in got)

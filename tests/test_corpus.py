@@ -67,6 +67,14 @@ def test_duplicate_paths_listed(tmp_path):
         load_version(p)
 
 
+@pytest.mark.parametrize("count", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_bug_count_reports_row(tmp_path, count):
+    p = tmp_path / "v.csv"
+    write_csv(p, ["name", "bug", "src"], [["A.java", "0", "x"], ["B.java", count, "y"]])
+    with pytest.raises(DataError, match="row 3"):
+        load_version(p)
+
+
 def test_unparseable_label_reports_row(tmp_path):
     p = tmp_path / "v.csv"
     write_csv(p, ["name", "bug", "src"], [["A.java", "0", "x"], ["B.java", "maybe", "y"]])

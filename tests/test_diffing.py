@@ -12,6 +12,7 @@ from driftlens.diffing import (
     render_difference_list,
     split_keepends,
 )
+from driftlens.errors import DataError
 
 DEFECTIVE_JAVA = """public class DefectExample {
     public static int calculateSum(int[] arr) {
@@ -152,6 +153,17 @@ def test_no_trailing_newline_marker():
     cs = diff("a\nend", "a\nend\n")
     assert "\\ No newline at end of file" in cs.unified
     assert apply_unified("a\nend", cs.unified) == "a\nend\n"
+
+
+@pytest.mark.parametrize("patch", [
+    "@@ -0,0 +0,0 @@\n\\ No newline at end of file\n",
+    "@@ -1 +1 @@\n\\ No newline at end of file\n-a\n+b\n",
+])
+def test_stray_no_newline_marker_is_a_data_error(patch):
+    with pytest.raises(DataError, match="stray no-newline marker"):
+        parse_unified(patch)
+    with pytest.raises(DataError, match="stray no-newline marker"):
+        apply_unified("a\n", patch)
 
 
 def test_render_difference_list_empty():

@@ -96,6 +96,39 @@ class TestHttpClient:
         assert err.value.status == 400
         assert len(transport.calls) == 1
 
+    @pytest.mark.parametrize("body", [
+        [ok_body()],
+        "X",
+        {"choices": []},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["X"]}}]},
+        {"choices": [{"message": "X"}]},
+    ])
+    def test_malformed_reply_body_is_a_transport_error(self, body):
+        transport = FakeTransport([(200, body)])
+        client = HttpChatClient(base_url="https://x", api_key="k", transport=transport,
+                                sleep=lambda s: None)
+        with pytest.raises(TransportError, match="malformed response body") as exc:
+            client.complete(req())
+        assert exc.value.status == 200
+        assert len(transport.calls) == 1
+        assert client.stats.calls == 0
+
+    @pytest.mark.parametrize("usage, tokens", [
+        ([10, 5], (0, 0)),
+        ("n/a", (0, 0)),
+        ({"prompt_tokens": "n/a", "completion_tokens": 5}, (0, 5)),
+        ({"prompt_tokens": 10, "completion_tokens": [5]}, (10, 0)),
+        ({"prompt_tokens": float("inf"), "completion_tokens": None}, (0, 0)),
+    ])
+    def test_malformed_usage_counts_zero_and_keeps_reply(self, usage, tokens):
+        body = {"choices": [{"message": {"content": "the answer"}}], "usage": usage}
+        client = HttpChatClient(base_url="https://x", api_key="k",
+                                transport=FakeTransport([(200, body)]), sleep=lambda s: None)
+        assert client.complete(req()) == "the answer"
+        assert (client.stats.prompt_tokens, client.stats.completion_tokens) == tokens
+        assert client.stats.calls == 1
+
     def test_in_flight_cap_bounds_concurrency(self):
         import threading
         import time as time_mod
