@@ -2,7 +2,9 @@
 
 New-version files are matched to predecessors by exact path first; the
 remainder is matched by Dice similarity over distinct normalized lines with
-a separation test on the sorted score gaps. Matched corpora are then
+a separation test on the sorted score gaps. Lines are compared by their
+64-bit content hash and scored as dense ids into one sorted vocabulary of
+the candidates' hashes (see kernels). Matched corpora are then
 partitioned into removed/added/same-source files and the four
 status-transition subsets.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import VersionedFile, VersionSet, normalize_lines
+from .corpus import VersionedFile, VersionSet
 
 SUBSET_ORDER = ("B00", "B10", "D11", "D01")
 SUBSETS = frozenset(SUBSET_ORDER)
@@ -30,7 +32,7 @@ class MatchParams:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
-        if self.gap_multiplier < 0.0:
+        if not self.gap_multiplier >= 0.0:  # also rejects NaN
             raise ValueError(f"gap_multiplier must be >= 0, got {self.gap_multiplier}")
 
 
@@ -78,8 +80,15 @@ class PartitionStats:
 
 
 def similarity_lines(source: str) -> set[str]:
-    """Distinct lines used for Dice similarity (trailing whitespace trimmed)."""
-    return {ln.rstrip() for ln in normalize_lines(source)}
+    """Distinct lines used for Dice similarity (trailing whitespace trimmed).
+
+    The lines of normalize_lines, trimmed: rstrip also removes the one
+    trailing carriage return that normalize_lines strips.
+    """
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return set(map(str.rstrip, lines))
 
 
 def dice_similarity(old: VersionedFile, new: VersionedFile) -> float:
@@ -131,10 +140,13 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
     candidates.sort(key=lambda f: f.path)
     sets = [kernels.hashed_line_set(similarity_lines(f.source)) for f in candidates]
     flat, offsets = kernels.pack_line_sets(sets)
+    vocab = kernels.sorted_distinct(flat)
+    flat = np.searchsorted(vocab, flat)
 
     accepted: list[tuple[float, str, str]] = []
     for f in sorted(pending, key=lambda f: f.path):
-        query = kernels.hashed_line_set(similarity_lines(f.source))
+        hashes = kernels.hashed_line_set(similarity_lines(f.source))
+        query = kernels.line_ids(vocab, hashes)
         scores = kernels.dice_batch(query, flat, offsets)
         order = np.argsort(-scores, kind="stable")  # ties resolve by path order
         ranked = scores[order]

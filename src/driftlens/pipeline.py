@@ -84,17 +84,21 @@ class RunConfig:
                 f"depth and max_lines must be >= 0, got {self.depth} and {self.max_lines}")
         if self.exemplar_count < 0:
             raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
-        try:
-            self.match_params()
-            if self.debate:
+        self.match_params()
+        if self.debate:
+            try:
                 self.debate_config()
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
         self.role_models()
         self.subset_caps()
 
     def match_params(self) -> MatchParams:
-        return MatchParams(threshold=self.threshold, gap_multiplier=self.gap_multiplier)
+        """The matching parameters; a bad threshold or multiplier is a ConfigurationError."""
+        try:
+            return MatchParams(threshold=self.threshold, gap_multiplier=self.gap_multiplier)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def role_models(self) -> dict:
         models = dict(DebateConfig().role_models)

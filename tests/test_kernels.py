@@ -55,9 +55,39 @@ def test_dice_batch_conventions():
     assert scores[0] == pytest.approx(2 * 2 / 6)
 
 
+def test_dice_batch_rejects_negative_ids():
+    flat, offsets = kernels.pack_line_sets([np.array([0, 1], dtype=np.int64)])
+    with pytest.raises(ValueError):
+        kernels.dice_batch(np.array([-1, 1], dtype=np.int64), flat, offsets)
+    flat, offsets = kernels.pack_line_sets([np.array([0, -2], dtype=np.int64)])
+    with pytest.raises(ValueError):
+        kernels.dice_batch(np.array([0], dtype=np.int64), flat, offsets)
+
+
+def reference_hashed_line_set(lines):
+    # The per-line hash set that hashed_line_set replaced with one buffer.
+    hashes = {kernels.line_hash64(ln) for ln in lines}
+    arr = np.fromiter(hashes, dtype=np.int64, count=len(hashes))
+    arr.sort()
+    return arr
+
+
+def reference_dice_batch(query, flat, offsets):
+    # The searchsorted pass over raw sorted hashes that dice_batch replaced
+    # with a member table over dense ids.
+    pos = np.searchsorted(query, flat)
+    hit = pos < len(query)
+    hit[hit] = query[pos[hit]] == flat[hit]
+    hits = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(hit, out=hits[1:])
+    inter = hits[offsets[1:]] - hits[offsets[:-1]]
+    denom = len(query) + np.diff(offsets)
+    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
+
+
 def reference_dice(query, flat, offsets):
-    # The per-candidate loop dice_batch replaced: searches each segment
-    # (sorted) for the query's hashes, with both empty-set cases by hand.
+    # The per-candidate loop that came before both: searches each segment
+    # (sorted) for the query's values, with both empty-set cases by hand.
     count = len(offsets) - 1
     out = np.empty(count, dtype=np.float64)
     nq = len(query)
@@ -77,22 +107,78 @@ def reference_dice(query, flat, offsets):
     return out
 
 
-# a small pool, so values recur across the query and the segments, plus
-# the int64 extremes searchsorted must place at either end
-hash_sets = st.sets(st.one_of(st.integers(-6, 6), st.sampled_from([-2**63, 2**63 - 1])),
-                    max_size=10).map(lambda s: np.array(sorted(s), dtype=np.int64))
+def as_sorted_array(values):
+    return np.array(sorted(values), dtype=np.int64)
 
 
-@given(hash_sets, st.lists(hash_sets, max_size=8))
+# line ids: a small pool, so ids recur across the query and the segments,
+# plus one large id far past the rest, so the member table is mostly unset
+SPARSE_ID = 2**20
+id_sets = st.sets(st.one_of(st.integers(0, 12), st.just(SPARSE_ID)),
+                  max_size=10).map(as_sorted_array)
+
+
+@given(id_sets, st.lists(id_sets, max_size=8))
 @example(np.empty(0, dtype=np.int64), [])
 @example(np.empty(0, dtype=np.int64), [np.empty(0, dtype=np.int64), np.array([3], dtype=np.int64)])
 @example(np.array([1, 2], dtype=np.int64), [np.empty(0, dtype=np.int64)] * 3)
 @settings(max_examples=400, deadline=None)
 def test_dice_batch_equals_per_candidate_loop(query, sets):
     flat, offsets = kernels.pack_line_sets(sets)
-    scores = kernels.dice_batch(query, flat, offsets)
+    scores = kernels.dice_batch(query[::-1], flat, offsets)  # ids in any order
     assert scores.dtype == np.float64
     assert scores.tobytes() == reference_dice(query, flat, offsets).tobytes()
+
+
+# raw 64-bit hashes: a small pool plus the int64 extremes, which must land
+# at either end of the vocabulary
+hash_sets = st.sets(st.one_of(st.integers(-6, 6), st.sampled_from([-2**63, 2**63 - 1])),
+                    max_size=10).map(as_sorted_array)
+
+
+@given(hash_sets, st.lists(hash_sets, max_size=8))
+@example(np.array([-2**63, 2**63 - 1], dtype=np.int64), [])
+@example(np.array([-2**63, 0], dtype=np.int64), [np.array([0, 2**63 - 1], dtype=np.int64)])
+@settings(max_examples=400, deadline=None)
+def test_dice_batch_on_vocabulary_ids_equals_raw_hashes(query, sets):
+    flat, offsets = kernels.pack_line_sets(sets)
+    vocab = kernels.sorted_distinct(flat)
+    flat_ids = np.searchsorted(vocab, flat)
+    assert (vocab[flat_ids] == flat).all()
+    query_ids = kernels.line_ids(vocab, query)
+    assert len(set(query_ids.tolist())) == len(query)  # distinct, fresh ids included
+    scores = kernels.dice_batch(query_ids, flat_ids, offsets).tobytes()
+    assert scores == reference_dice(query, flat, offsets).tobytes()
+    assert scores == reference_dice_batch(query, flat, offsets).tobytes()
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_sorted_distinct_equals_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    got = kernels.sorted_distinct(arr)
+    assert got.dtype == np.int64
+    assert got.tobytes() == np.unique(arr).tobytes()
+
+
+@given(hash_sets, hash_sets)
+@settings(max_examples=300, deadline=None)
+def test_line_ids_index_the_vocabulary(vocab, hashes):
+    ids = kernels.line_ids(vocab, hashes)
+    inside = np.isin(hashes, vocab)
+    assert (vocab[ids[inside]] == hashes[inside]).all()
+    fresh = ids[~inside]
+    assert sorted(fresh.tolist()) == list(range(len(vocab), len(vocab) + len(fresh)))
+
+
+@given(st.lists(st.text(max_size=12) | st.sampled_from(["", "x", " x", "x\r"]), max_size=40))
+@example(["", "", "same", "same"])
+@settings(max_examples=300, deadline=None)
+def test_hashed_line_set_equals_per_line_hashes(lines):
+    got = kernels.hashed_line_set(set(lines))
+    assert got.dtype == np.int64
+    assert got.tobytes() == reference_hashed_line_set(lines).tobytes()
+    assert kernels.hashed_line_set(lines).tobytes() == got.tobytes()  # duplicates dropped
 
 
 def _lcs_table(a, b):

@@ -1,16 +1,29 @@
+import dataclasses
+import importlib
+import json
+import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from driftlens.corpus import VersionedFile, VersionSet
+from driftlens import kernels
+from driftlens.corpus import VersionedFile, VersionSet, load_version, normalize_lines
 from driftlens.matching import (
     EvolutionRecord,
     MatchParams,
+    _gap_test_accept,
     dice_similarity,
     match_files,
     partition,
     similarity_lines,
 )
+from test_kernels import reference_dice_batch, reference_hashed_line_set
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def vf(path, source, label=0, version="v"):
@@ -55,6 +68,69 @@ class TestDiceSimilarity:
         b = lines_file("B", ["x", "y"])
         assert dice_similarity(a, b) == 1.0
         assert similarity_lines(a.source) == {"x", "y"}
+
+
+def reference_similarity_lines(source):
+    # The set over normalize_lines that similarity_lines replaced with one split.
+    return {ln.rstrip() for ln in normalize_lines(source)}
+
+
+@given(st.text(alphabet="ab \t\r\n\x0b\x1c\u3000", max_size=40))
+@example("")
+@example("\n")
+@example("a\r\n\r\n")
+@example("a \r")
+@settings(max_examples=500, deadline=None)
+def test_similarity_lines_equals_normalized_set(source):
+    assert similarity_lines(source) == reference_similarity_lines(source)
+
+
+def reference_match_files(old_set, new_set, params=MatchParams()):
+    # match_files before dense line ids: raw hashes per file, scored by a
+    # searchsorted pass; the acceptance rule and greedy pass are unchanged.
+    matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
+    pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
+    candidates = sorted((f for f in old_set.files if f.path not in new_set),
+                        key=lambda f: f.path)
+    if not pending or not candidates:
+        return matches
+    flat, offsets = kernels.pack_line_sets(
+        [reference_hashed_line_set(reference_similarity_lines(f.source)) for f in candidates])
+    accepted = []
+    for f in pending:
+        query = reference_hashed_line_set(reference_similarity_lines(f.source))
+        scores = reference_dice_batch(query, flat, offsets)
+        order = np.argsort(-scores, kind="stable")
+        if _gap_test_accept(scores[order], params):
+            accepted.append((float(scores[order[0]]), f.path, candidates[order[0]].path))
+    taken = set()
+    for _, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
+        if old_path not in taken:
+            taken.add(old_path)
+            matches[new_path] = old_path
+    return matches
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_match_files_equals_reference_on_synthetic_pair(tmp_path, monkeypatch, seed):
+    """A rename-baseline-shaped pair: same matches as the raw-hash path, true records."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    shape = dataclasses.replace(workloads.WORKLOADS["rename-baseline"].corpus, files=150)
+    paths = synth.write_pair(shape, seed, tmp_path)
+    old_set, new_set = load_version(paths["old"]), load_version(paths["new"])
+    matches = match_files(old_set, new_set)
+    assert matches == reference_match_files(old_set, new_set)
+    assert sum(1 for new, old in matches.items() if old not in (None, new)) > 10
+
+    records, _ = partition(old_set, new_set, matches)
+    truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
+    got = [{"new_path": r.new_file.path, "old_path": r.old_file.path if r.old_file else "",
+            "match_kind": r.match_kind, "subset": r.subset,
+            "old_label": r.old_file.label if r.old_file else "", "new_label": r.new_file.label}
+           for r in records]
+    assert got == truth
 
 
 class TestMatchFiles:
@@ -182,6 +258,10 @@ class TestInvariants:
             MatchParams(threshold=1.5)
         with pytest.raises(ValueError):
             MatchParams(gap_multiplier=-0.1)
+        with pytest.raises(ValueError):
+            MatchParams(gap_multiplier=math.nan)
+        with pytest.raises(ValueError):
+            MatchParams(threshold=math.nan)
 
     def test_added_record_requires_no_old_file(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,19 @@
-"""The names perfbench wraps or reads in driftlens still exist.
+"""The names perfbench wraps or reads in driftlens still exist and mean the same.
 
 perfbench/worker.py patches layer functions where the pipeline calls them
 and reads module constants, so renaming one of them breaks the benchmark;
-this test makes such a rename fail the test suite instead.
+these tests make such a rename fail the test suite instead. A wrapped
+function that is called a different number of times, or with other
+arguments, silently changes what a per-layer metric counts, so the Dice
+span is checked on a real run too.
 """
 
+import dataclasses
 import importlib
 from collections import Counter
 from pathlib import Path
 
-from driftlens import kernels
+from driftlens import kernels, pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,3 +30,25 @@ def test_worker_installs_and_restores_every_span(monkeypatch):
     assert kernels.dice_batch is dice_batch
     assert isinstance(kernels.BACKEND, str)
     assert kernels.LCS_CELL_BUDGET > 0
+
+
+def test_dice_span_opens_once_per_pending_file(tmp_path, monkeypatch):
+    """kernels.dice_s and dice_pairs stay per-query measures of the Dice kernel."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["rename-baseline"]
+    paths = synth.write_pair(dataclasses.replace(workload.corpus, files=150), 3, tmp_path)
+    config = pipeline.RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"]),
+                                out_dir=str(tmp_path / "out"), **workload.config)
+    tracer, counts = worker.Tracer(), Counter()
+    try:
+        worker.install_spans(tracer, counts, [])
+        pipeline.run(config)
+    finally:
+        tracer.restore()
+    dice_spans = [span for span in tracer.spans if span.name == "kernels.dice_batch"]
+    assert counts["pending"] > 10 and counts["candidates"] > 10
+    assert len(dice_spans) == counts["pending"]
+    assert counts["dice_pairs"] == counts["pending"] * counts["candidates"]

@@ -439,6 +439,26 @@ class TestCli:
                                      method="M5", seed=7, caps="B00=1", stub=True,
                                      out_dir=str(out_dir))
 
+    @pytest.mark.parametrize("bad", [("--threshold", "2"), ("--gap-multiplier", "-1"),
+                                     ("--gap-multiplier", "nan")])
+    def test_bad_match_params_rejected_before_loading(self, tmp_path, capsys, bad):
+        # the inputs do not exist: the error must name the parameter, not the file
+        inputs = ["--old", str(tmp_path / "old.csv"), "--new", str(tmp_path / "new.csv"), *bad]
+        record = ["--record", "pkg/B10.java"]
+        for argv in (["match", *inputs, "--out", str(tmp_path / "m.csv")],
+                     ["partition", *inputs],
+                     ["diff", *inputs, *record],
+                     ["context", *inputs, *record],
+                     ["prompt", *inputs, *record, "--method", "M5"],
+                     ["baseline", *inputs, "--out", str(tmp_path / "p.csv")],
+                     ["predict", *inputs, "--method", "M5", "--stub"],
+                     ["debate", *inputs, "--stub"]):
+            assert cli_main([*argv, "--out-dir", str(tmp_path / "o")]
+                            if argv[0] in ("predict", "debate") else argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and bad[0][2:].replace("-", "_") in err, argv
+        assert not (tmp_path / "o").exists()
+
     def test_flag_defaults_match_run_config(self):
         subparsers = next(action for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
