@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import quote
 
 from .errors import DriftlensError, TransportError
 from .llm import ChatRequest, ParsedPrediction, parse_prediction
@@ -127,9 +128,13 @@ def run_debate(record, cs, ctx, cfg: DebateConfig, client) -> DebateTranscript:
 
 
 def save_transcript(transcript: DebateTranscript, out_dir: str | Path) -> Path:
+    """Write the transcript to out_dir, one file per record id.
+
+    The file name percent-encodes the record id (every "/" and "%" too), so
+    distinct ids never share a file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    safe = transcript.record_id.replace("/", "__").replace("\\", "__")
-    path = out_dir / f"{safe}.json"
+    path = out_dir / f"{quote(transcript.record_id, safe='')}.json"
     path.write_text(transcript.to_json(), encoding="utf-8")
     return path

@@ -1,17 +1,17 @@
 """Hot numeric kernels: bit-parallel LCS alignment and batched Dice similarity.
 
 LCS fills each row of the table as one Python-int bitset, 64 cells per
-machine word. Dice works on dense line ids: lines are hashed with
-line_hash64, the distinct candidate hashes of a run form one sorted
-vocabulary, and each hash becomes its index there (line_ids). A query then
-scores all candidates in one numpy pass, by marking its ids in a member
-table and gathering that table at every candidate id.
+machine word; line_hash64 only breaks ties when an alignment is walked back.
+Dice works on dense line ids: matching interns each distinct line text once
+per run, so equal ids mean equal text. A query then scores all candidates
+in one numpy pass, by marking its ids in a member table and gathering that
+table at every candidate id.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,42 +32,12 @@ def line_hash64(line: str) -> int:
     return int.from_bytes(digest, "little", signed=True)
 
 
-def sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, ascending, as a new array."""
-    out = np.sort(values)
-    keep = np.empty(len(out), dtype=bool)
-    keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
-
-
-def hashed_line_set(lines: Iterable[str]) -> np.ndarray:
-    """Sorted array of the distinct line_hash64 values of lines."""
-    blake2b = hashlib.blake2b
-    digests = b"".join([blake2b(ln.encode("utf-8"), digest_size=8).digest() for ln in lines])
-    return sorted_distinct(np.frombuffer(digests, dtype="<i8"))
-
-
 def pack_line_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate line sets into a CSR-style (flat, offsets) pair."""
     offsets = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum([len(s) for s in sets], dtype=np.int64, out=offsets[1:])
     flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
     return flat, offsets
-
-
-def line_ids(vocab: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """Dense ids of distinct hashes: a hash's index in the sorted vocab.
-
-    A hash outside vocab gets a fresh id from len(vocab) up, distinct from
-    every other id, so it still counts in its set's size and never matches.
-    """
-    ids = np.searchsorted(vocab, hashes)
-    found = ids < len(vocab)
-    found[found] = vocab[ids[found]] == hashes[found]
-    missing = ~found
-    ids[missing] = np.arange(len(vocab), len(vocab) + np.count_nonzero(missing))
-    return ids
 
 
 def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -83,9 +53,7 @@ def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.n
     member = np.zeros(1 + max(query.max(initial=-1), flat.max(initial=-1)), dtype=bool)
     member[query] = True
     hit = member[flat]
-    hits = np.zeros(len(flat) + 1, dtype=np.int64)
-    np.cumsum(hit, out=hits[1:])
-    inter = hits[offsets[1:]] - hits[offsets[:-1]]
+    inter = np.diff(np.searchsorted(np.flatnonzero(hit), offsets))
     denom = len(query) + np.diff(offsets)
     return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
 

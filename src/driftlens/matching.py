@@ -3,9 +3,9 @@
 New-version files are matched to predecessors by exact path first; the
 remainder is matched by Dice similarity over distinct normalized lines with
 a separation test on the sorted score gaps. Lines are compared by their
-64-bit content hash and scored as dense ids into one sorted vocabulary of
-the candidates' hashes (see kernels). Matched corpora are then
-partitioned into removed/added/same-source files and the four
+exact text, the relation dice_similarity uses: each distinct line is interned
+to a dense id once per run and scored as such (see kernels). Matched corpora
+are then partitioned into removed/added/same-source files and the four
 status-transition subsets.
 """
 
@@ -137,17 +137,20 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
     if not pending or not candidates:
         return matches
 
+    # A query line that no candidate holds gets an id no candidate holds:
+    # it counts in the query's size and never hits.
+    ids: dict[str, int] = {}
+
+    def line_ids(f: VersionedFile) -> np.ndarray:
+        return np.array([ids.setdefault(ln, len(ids)) for ln in similarity_lines(f.source)],
+                        dtype=np.int64)
+
     candidates.sort(key=lambda f: f.path)
-    sets = [kernels.hashed_line_set(similarity_lines(f.source)) for f in candidates]
-    flat, offsets = kernels.pack_line_sets(sets)
-    vocab = kernels.sorted_distinct(flat)
-    flat = np.searchsorted(vocab, flat)
+    flat, offsets = kernels.pack_line_sets([line_ids(f) for f in candidates])
 
     accepted: list[tuple[float, str, str]] = []
     for f in sorted(pending, key=lambda f: f.path):
-        hashes = kernels.hashed_line_set(similarity_lines(f.source))
-        query = kernels.line_ids(vocab, hashes)
-        scores = kernels.dice_batch(query, flat, offsets)
+        scores = kernels.dice_batch(line_ids(f), flat, offsets)
         order = np.argsort(-scores, kind="stable")  # ties resolve by path order
         ranked = scores[order]
         if _gap_test_accept(ranked, params):

@@ -105,7 +105,7 @@ class RunConfig:
         if self.roles:
             for item in self.roles.split(","):
                 role, _, model = item.partition("=")
-                if role.strip() not in ROLES or not model:
+                if role.strip() not in ROLES or not model.strip():
                     raise ConfigurationError(f"bad roles entry {item!r}; roles are {ROLES}")
                 models[role.strip()] = model.strip()
         return models
@@ -119,7 +119,7 @@ class RunConfig:
         if self.caps:
             for item in self.caps.split(","):
                 subset, _, limit = item.partition("=")
-                if subset.strip() not in SUBSETS or not limit.strip().isdigit():
+                if subset.strip() not in SUBSETS or not limit.strip().isdecimal():
                     raise ConfigurationError(f"bad caps entry {item!r}")
                 caps[subset.strip()] = int(limit)
         return caps

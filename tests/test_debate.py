@@ -167,9 +167,23 @@ def test_transcript_persistence(tmp_path):
     cs, ctx = materials(record)
     transcript = run_debate(record, cs, ctx, DebateConfig(rounds=1), ScriptedChatClient())
     path = save_transcript(transcript, tmp_path / "transcripts")
-    assert path.name == "dir__T.java.json"
+    assert path.name == "dir%2FT.java.json"
     payload = json.loads(path.read_text())
     assert payload["record_id"] == "dir/T.java"
     assert len(payload["messages"]) == 4
     assert payload["config"]["rounds"] == 1
     assert payload["verdict"]["parse_path"] in ("marker", "json", "regex_fallback", "failed")
+
+
+def test_transcripts_of_colliding_ids_are_kept_apart(tmp_path):
+    # ids that a "/" -> "__" mapping, or a second percent-encoding, would merge
+    paths = []
+    for record_id in ("a/b.java", "a__b.java", "a%2Fb.java"):
+        record = make_record(path=record_id)
+        cs, ctx = materials(record)
+        transcript = run_debate(record, cs, ctx, DebateConfig(rounds=1), ScriptedChatClient())
+        paths.append(save_transcript(transcript, tmp_path))
+    assert len(set(paths)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    assert [json.loads(p.read_text())["record_id"] for p in paths] == [
+        "a/b.java", "a__b.java", "a%2Fb.java"]

@@ -65,7 +65,8 @@ def test_dice_batch_rejects_negative_ids():
 
 
 def reference_hashed_line_set(lines):
-    # The per-line hash set that hashed_line_set replaced with one buffer.
+    # A file's line set as match_files scored it before lines were interned
+    # by text: the distinct line_hash64 values, sorted.
     hashes = {kernels.line_hash64(ln) for ln in lines}
     arr = np.fromiter(hashes, dtype=np.int64, count=len(hashes))
     arr.sort()
@@ -128,57 +129,6 @@ def test_dice_batch_equals_per_candidate_loop(query, sets):
     scores = kernels.dice_batch(query[::-1], flat, offsets)  # ids in any order
     assert scores.dtype == np.float64
     assert scores.tobytes() == reference_dice(query, flat, offsets).tobytes()
-
-
-# raw 64-bit hashes: a small pool plus the int64 extremes, which must land
-# at either end of the vocabulary
-hash_sets = st.sets(st.one_of(st.integers(-6, 6), st.sampled_from([-2**63, 2**63 - 1])),
-                    max_size=10).map(as_sorted_array)
-
-
-@given(hash_sets, st.lists(hash_sets, max_size=8))
-@example(np.array([-2**63, 2**63 - 1], dtype=np.int64), [])
-@example(np.array([-2**63, 0], dtype=np.int64), [np.array([0, 2**63 - 1], dtype=np.int64)])
-@settings(max_examples=400, deadline=None)
-def test_dice_batch_on_vocabulary_ids_equals_raw_hashes(query, sets):
-    flat, offsets = kernels.pack_line_sets(sets)
-    vocab = kernels.sorted_distinct(flat)
-    flat_ids = np.searchsorted(vocab, flat)
-    assert (vocab[flat_ids] == flat).all()
-    query_ids = kernels.line_ids(vocab, query)
-    assert len(set(query_ids.tolist())) == len(query)  # distinct, fresh ids included
-    scores = kernels.dice_batch(query_ids, flat_ids, offsets).tobytes()
-    assert scores == reference_dice(query, flat, offsets).tobytes()
-    assert scores == reference_dice_batch(query, flat, offsets).tobytes()
-
-
-@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_sorted_distinct_equals_unique(values):
-    arr = np.array(values, dtype=np.int64)
-    got = kernels.sorted_distinct(arr)
-    assert got.dtype == np.int64
-    assert got.tobytes() == np.unique(arr).tobytes()
-
-
-@given(hash_sets, hash_sets)
-@settings(max_examples=300, deadline=None)
-def test_line_ids_index_the_vocabulary(vocab, hashes):
-    ids = kernels.line_ids(vocab, hashes)
-    inside = np.isin(hashes, vocab)
-    assert (vocab[ids[inside]] == hashes[inside]).all()
-    fresh = ids[~inside]
-    assert sorted(fresh.tolist()) == list(range(len(vocab), len(vocab) + len(fresh)))
-
-
-@given(st.lists(st.text(max_size=12) | st.sampled_from(["", "x", " x", "x\r"]), max_size=40))
-@example(["", "", "same", "same"])
-@settings(max_examples=300, deadline=None)
-def test_hashed_line_set_equals_per_line_hashes(lines):
-    got = kernels.hashed_line_set(set(lines))
-    assert got.dtype == np.int64
-    assert got.tobytes() == reference_hashed_line_set(lines).tobytes()
-    assert kernels.hashed_line_set(lines).tobytes() == got.tobytes()  # duplicates dropped
 
 
 def _lcs_table(a, b):

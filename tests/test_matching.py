@@ -133,6 +133,60 @@ def test_match_files_equals_reference_on_synthetic_pair(tmp_path, monkeypatch, s
     assert got == truth
 
 
+# lines that differ only in trailing blanks or a carriage return, which
+# similarity_lines trims, plus lines that repeat within one file
+LINE_POOL = ["int x;", "int x; ", "int x;\r", "return x;", "return x;\t", "}", "  }", "",
+             "y++;", "z--;"]
+PATH_POOL = [f"p/F{i}.java" for i in range(8)]
+
+
+@st.composite
+def version_sets(draw, version):
+    files = []
+    for path in draw(st.lists(st.sampled_from(PATH_POOL), min_size=1, max_size=6, unique=True)):
+        lines = draw(st.lists(st.sampled_from(LINE_POOL), max_size=8))
+        end = draw(st.sampled_from(["", "\n"]))
+        files.append(vf(path, "\n".join(lines) + end, draw(st.integers(0, 1)), version))
+    return vset(files, version)
+
+
+def exact_text_match_files(old_set, new_set, params):
+    # Every pending x candidate pair scored by dice_similarity on line text,
+    # ranked by a stable sort; returns the matches and each accepted score.
+    matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
+    pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
+    candidates = sorted((f for f in old_set.files if f.path not in new_set),
+                        key=lambda f: f.path)
+    accepted = []
+    for f in pending:
+        ranked = sorted(((dice_similarity(c, f), c.path) for c in candidates),
+                        key=lambda t: -t[0])
+        if ranked and _gap_test_accept(np.array([s for s, _ in ranked]), params):
+            accepted.append((ranked[0][0], f.path, ranked[0][1]))
+    taken, scores = set(), {}
+    for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
+        if old_path not in taken:
+            taken.add(old_path)
+            matches[new_path] = old_path
+            scores[new_path] = score
+    return matches, scores
+
+
+@given(version_sets("v1"), version_sets("v2"), st.sampled_from([0.0, 0.3, 0.7]),
+       st.sampled_from([0.0, 0.5, 1.0]))
+@example(vset([lines_file("p/F0.java", ["int x;", "}"])], "v1"),
+         vset([lines_file("p/F1.java", ["int x; ", "}\r"])], "v2"), 0.7, 1.0)
+@settings(max_examples=300, deadline=None)
+def test_match_files_equals_exact_text_reference(old_set, new_set, threshold, gap_multiplier):
+    params = MatchParams(threshold, gap_multiplier)
+    expected, scores = exact_text_match_files(old_set, new_set, params)
+    matches = match_files(old_set, new_set, params)
+    assert matches == expected
+    records, _ = partition(old_set, new_set, matches)
+    similar = {r.record_id: r.similarity for r in records if r.match_kind == "similarity"}
+    assert similar == scores  # bit for bit: one equality relation, one formula
+
+
 class TestMatchFiles:
     def test_path_match_wins_regardless_of_content(self):
         old = vset([lines_file("Same.java", ["completely", "different"])], "v1")

@@ -493,6 +493,8 @@ class TestCli:
                      ["run", "--config", str(tmp_path / "missing.conf")],
                      ["run", "--config", str(bad_seed)],
                      ["debate", *inputs, "--stub", "--roles", "judg=x"],
+                     ["debate", *inputs, "--stub", "--roles", "judge= "],
+                     ["predict", *inputs, "--stub", "--method", "M5", "--caps", "B00=\u00b2"],
                      ["predict", *inputs, "--method", "M5", "--stub", "--max-in-flight", "0"],
                      *evaluate):
             assert cli_main(argv) == 2, argv
