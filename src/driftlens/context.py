@@ -102,10 +102,16 @@ def _spaces(m: re.Match) -> str:
 
 
 def _blank(m: re.Match) -> str:
+    text = m[0]
     if m.lastindex is None:  # a comment: its newlines survive
-        return _NOT_NEWLINE_RE.sub(_spaces, m[0])
+        if "\n" not in text:
+            return " " * len(text)
+        return _NOT_NEWLINE_RE.sub(_spaces, text)
     body = m[m.lastindex]    # a literal keeps its quotes; escape pairs blank as one
-    return m[0][0] + _LITERAL_BODY_RE.sub(_spaces, body) + m[0][1 + len(body):]
+    tail = text[1 + len(body):]
+    if "\n" not in body:
+        return text[0] + " " * len(body) + tail
+    return text[0] + _LITERAL_BODY_RE.sub(_spaces, body) + tail
 
 
 def mask_source(source: str) -> str:

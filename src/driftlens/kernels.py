@@ -1,19 +1,19 @@
-"""Hot numeric kernels: bit-parallel LCS alignment and batched Dice similarity.
+"""Hot kernels: bit-parallel LCS alignment and batched Dice similarity.
 
 LCS fills each row of the table as one Python-int bitset, 64 cells per
 machine word; line_hash64 only breaks ties when an alignment is walked back.
-Dice works on dense line ids: matching interns each distinct line text once
-per run, so equal ids mean equal text. A query then scores all candidates
-in one numpy pass, by marking its ids in a member table and gathering that
-table at every candidate id.
+Dice scores one query's line set against every candidate through an
+inverted index keyed by line text, so equal keys mean equal text: one
+Counter over the posting lists of the query's lines counts each candidate's
+shared lines (the ScanCount merge of Li, Lu & Lu, ICDE 2008).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
-
-import numpy as np
+from collections import Counter
+from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 # LCS size guard: middles larger than this many cells (after common
 # prefix/suffix stripping) are treated as one opaque replace block instead of
@@ -23,7 +23,7 @@ import numpy as np
 LCS_CELL_BUDGET = 16_000_000
 
 # Name of the kernel implementation, reported in benchmark environment lines.
-BACKEND = "numpy"
+BACKEND = "python"
 
 
 def line_hash64(line: str) -> int:
@@ -32,30 +32,55 @@ def line_hash64(line: str) -> int:
     return int.from_bytes(digest, "little", signed=True)
 
 
-def pack_line_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate line sets into a CSR-style (flat, offsets) pair."""
-    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in sets], dtype=np.int64, out=offsets[1:])
-    flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-    return flat, offsets
+def pack_line_sets(sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]], list[int]]:
+    """Inverted index of candidate line sets, and offsets[t+1] - offsets[t] = |set t|.
 
-
-def dice_batch(query: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Dice similarity of one line-id set against many, 2|A∩B|/(|A|+|B|).
-
-    Ids are non-negative ints and every set holds distinct ids, in any
-    order. The query's ids are marked in a member table that the candidate
-    ids index. Two empty sets score 1.0, and an empty set against a
-    non-empty one scores 0.0.
+    With n candidates, a line held by at most half of them posts the
+    candidates t that hold it. A line held by more posts the shared base key
+    n and then ~t for each candidate t that lacks it, so the common lines of
+    a file (braces, blank lines, imports) cost no more than the rare ones.
+    The sets are read once, in order, so they may be made one at a time.
     """
-    if min(query.min(initial=0), flat.min(initial=0)) < 0:
-        raise ValueError("dice_batch takes non-negative line ids")
-    member = np.zeros(1 + max(query.max(initial=-1), flat.max(initial=-1)), dtype=bool)
-    member[query] = True
-    hit = member[flat]
-    inter = np.diff(np.searchsorted(np.flatnonzero(hit), offsets))
-    denom = len(query) + np.diff(offsets)
-    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
+    offsets = [0]
+    index: dict[str, list[int]] = {}
+    for t, lines in enumerate(sets):
+        offsets.append(offsets[t] + len(lines))
+        for line in lines:
+            index.setdefault(line, []).append(t)
+    n = len(offsets) - 1
+    lacking = [~t for t in range(n)]
+    for line, holders in index.items():
+        if 2 * len(holders) > n:
+            held = set(holders)
+            index[line] = [n, *(lacking[t] for t in range(n) if t not in held)]
+    return index, offsets
+
+
+def dice_batch(query: Collection[str], index: dict[str, list[int]],
+               offsets: Sequence[int]) -> list[float]:
+    """Dice similarity of one line set against every indexed set, 2|A∩B|/(|A|+|B|).
+
+    The query holds distinct lines. One Counter over their posting lists
+    gives hits[n], the query's common lines, which every candidate shares
+    but for the hits[~t] that candidate t lacks, and hits[t], the rare lines
+    it holds. Two empty sets score 1.0, and an empty set against a non-empty
+    one scores 0.0.
+    """
+    n = len(offsets) - 1
+    hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
+    # dict methods only: Counter's missing-key lookup is a Python call per read
+    shared = [hits.pop(n, 0)] * n
+    for t, count in hits.items():
+        if t >= 0:
+            shared[t] += count
+        else:
+            shared[~t] -= count
+    size = len(query)
+    scores = []
+    for inter, lo, hi in zip(shared, offsets, offsets[1:]):
+        denom = size + hi - lo
+        scores.append(2.0 * inter / denom if denom else 1.0)
+    return scores
 
 
 def _bitmask(positions: list[int], width: int) -> int:

@@ -3,17 +3,19 @@
 New-version files are matched to predecessors by exact path first; the
 remainder is matched by Dice similarity over distinct normalized lines with
 a separation test on the sorted score gaps. Lines are compared by their
-exact text, the relation dice_similarity uses: each distinct line is interned
-to a dense id once per run and scored as such (see kernels). Matched corpora
-are then partitioned into removed/added/same-source files and the four
-status-transition subsets.
+exact text, the relation dice_similarity uses: the candidates' line sets are
+indexed by line text once per run, and each query is scored against that
+index (see kernels). Matched corpora are then partitioned into
+removed/added/same-source files and the four status-transition subsets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import Sequence
 
 from . import kernels
 from .corpus import VersionedFile, VersionSet
@@ -101,7 +103,41 @@ def dice_similarity(old: VersionedFile, new: VersionedFile) -> float:
     return 2.0 * len(l1 & l2) / denom
 
 
-def _gap_test_accept(scores: np.ndarray, params: MatchParams) -> bool:
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Float sum in the pairwise order of array-library reductions.
+
+    This order keeps the gap test's rounding, and so every match, as it was
+    when the gaps were summed as arrays. Under 8 values: one running sum
+    from 0.0. Up to 128: 8 running sums over the stride-8 lanes, combined as
+    a tree, then the tail added in order. Above that: the sum of two halves,
+    the first a multiple of 8 long.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[end:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and population standard deviation, each sum in pairwise order."""
+    mu = _pairwise_sum(values) / len(values)
+    deviations = [v - mu for v in values]
+    return mu, math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(values))
+
+
+def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
     """Acceptance rule on descending scores: s1 >= T and a separated top gap.
 
     With a single candidate only the threshold applies (the gap list is
@@ -113,9 +149,7 @@ def _gap_test_accept(scores: np.ndarray, params: MatchParams) -> bool:
         return False
     if len(scores) == 1:
         return True
-    gaps = scores[:-1] - scores[1:]
-    mu = float(gaps.mean())
-    sigma = float(gaps.std())
+    mu, sigma = _mean_std([a - b for a, b in zip(scores, scores[1:])])
     return (s1 - scores[1]) >= mu + params.gap_multiplier * sigma
 
 
@@ -137,24 +171,17 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
     if not pending or not candidates:
         return matches
 
-    # A query line that no candidate holds gets an id no candidate holds:
-    # it counts in the query's size and never hits.
-    ids: dict[str, int] = {}
-
-    def line_ids(f: VersionedFile) -> np.ndarray:
-        return np.array([ids.setdefault(ln, len(ids)) for ln in similarity_lines(f.source)],
-                        dtype=np.int64)
-
     candidates.sort(key=lambda f: f.path)
-    flat, offsets = kernels.pack_line_sets([line_ids(f) for f in candidates])
+    index, offsets = kernels.pack_line_sets(similarity_lines(f.source) for f in candidates)
 
     accepted: list[tuple[float, str, str]] = []
     for f in sorted(pending, key=lambda f: f.path):
-        scores = kernels.dice_batch(line_ids(f), flat, offsets)
-        order = np.argsort(-scores, kind="stable")  # ties resolve by path order
-        ranked = scores[order]
+        scores = kernels.dice_batch(similarity_lines(f.source), index, offsets)
+        # a stable sort, so ties resolve by path order
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+        ranked = [scores[t] for t in order]
         if _gap_test_accept(ranked, params):
-            accepted.append((float(ranked[0]), f.path, candidates[order[0]].path))
+            accepted.append((ranked[0], f.path, candidates[order[0]].path))
 
     taken: set[str] = set()
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):

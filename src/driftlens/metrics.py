@@ -10,10 +10,9 @@ reported as absent rather than zero.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .matching import SUBSET_ORDER
 
@@ -40,14 +39,10 @@ class ConfusionCounts:
 
     @classmethod
     def from_labels(cls, labels, preds) -> "ConfusionCounts":
-        labels = np.asarray(labels)
-        preds = np.asarray(preds)
-        return cls(
-            tp=int(np.sum((preds == 1) & (labels == 1))),
-            fp=int(np.sum((preds == 1) & (labels == 0))),
-            tn=int(np.sum((preds == 0) & (labels == 0))),
-            fn=int(np.sum((preds == 0) & (labels == 1))),
-        )
+        if len(labels) != len(preds):
+            raise ValueError(f"{len(labels)} labels against {len(preds)} predictions")
+        pairs = Counter(zip(preds, labels))
+        return cls(tp=pairs[1, 1], fp=pairs[1, 0], tn=pairs[0, 0], fn=pairs[0, 1])
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -66,9 +61,7 @@ def macro_prf(labels, preds) -> tuple[float, float, float]:
     Class 0 reads the defective-class counts mirrored: its tp, fp and fn are
     the tn, fn and fp of the same confusion matrix.
     """
-    labels = np.asarray(labels)
-    preds = np.asarray(preds)
-    if labels.size == 0 or labels.shape != preds.shape:
+    if len(labels) == 0 or len(labels) != len(preds):
         raise ValueError("labels and preds must be equal-length and nonempty")
     cc = ConfusionCounts.from_labels(labels, preds)
     benign = _prf(cc.tn, cc.fn, cc.fp)
@@ -76,16 +69,17 @@ def macro_prf(labels, preds) -> tuple[float, float, float]:
     return tuple((b + d) / 2 for b, d in zip(benign, defective))
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
+def _average_ranks(scores: list[float]) -> list[float]:
+    """1-based ranks of scores in ascending order, ties sharing their average rank."""
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0.0] * len(scores)
     i = 0
-    while i < len(scores):
+    while i < len(order):
         j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
             j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # 1-based average rank
+        for k in order[i:j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
 
@@ -94,28 +88,27 @@ def auc_fpr_mcc(labels, preds_or_scores) -> tuple[float, float, float]:
     """Rank-based AUC, false positive rate, and Matthews correlation.
 
     Scores may be binary predictions; FPR and MCC binarize at 0.5 (identity
-    for binary inputs). Degenerate populations yield 0.0.
+    for binary inputs). Degenerate populations yield 0.0. Ranks are
+    half-integers, so their sum is exact in any order.
     """
-    labels = np.asarray(labels)
-    scores = np.asarray(preds_or_scores, dtype=np.float64)
-    if labels.size == 0 or labels.shape != scores.shape:
+    scores = [float(s) for s in preds_or_scores]
+    if len(labels) == 0 or len(labels) != len(scores):
         raise ValueError("labels and scores must be equal-length and nonempty")
 
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    n_pos = sum(1 for label in labels if label == 1)
+    n_neg = sum(1 for label in labels if label == 0)
     if n_pos and n_neg:
-        ranks = _average_ranks(scores)
-        auc = (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        pos_rank_sum = sum(r for r, label in zip(_average_ranks(scores), labels) if label == 1)
+        auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     else:
         auc = 0.0
 
-    preds = (scores > 0.5).astype(np.int64)
-    cc = ConfusionCounts.from_labels(labels, preds)
+    cc = ConfusionCounts.from_labels(labels, [int(s > 0.5) for s in scores])
     fpr = _safe_div(cc.fp, cc.fp + cc.tn)
-    mcc_den = np.sqrt(float(cc.tp + cc.fp) * float(cc.tp + cc.fn)
-                      * float(cc.tn + cc.fp) * float(cc.tn + cc.fn))
+    mcc_den = math.sqrt(float(cc.tp + cc.fp) * float(cc.tp + cc.fn)
+                        * float(cc.tn + cc.fp) * float(cc.tn + cc.fn))
     mcc = _safe_div(cc.tp * cc.tn - cc.fp * cc.fn, mcc_den)
-    return float(auc), float(fpr), float(mcc)
+    return auc, fpr, mcc
 
 
 def harmonic_mean(a: float | None, b: float | None) -> float | None:

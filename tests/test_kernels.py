@@ -45,23 +45,41 @@ def test_identical_and_empty_inputs():
 
 
 def test_dice_batch_conventions():
-    empty = np.empty(0, dtype=np.int64)
-    flat, offsets = kernels.pack_line_sets([empty, np.array([1, 2], dtype=np.int64)])
-    scores = kernels.dice_batch(empty, flat, offsets)
-    assert scores[0] == 1.0  # both empty
-    assert scores[1] == 0.0  # one empty
-    flat, offsets = kernels.pack_line_sets([np.array([1, 2, 3], dtype=np.int64)])
-    scores = kernels.dice_batch(np.array([2, 3, 4], dtype=np.int64), flat, offsets)
-    assert scores[0] == pytest.approx(2 * 2 / 6)
+    index, offsets = kernels.pack_line_sets([set(), {"a", "b"}])
+    scores = kernels.dice_batch(set(), index, offsets)
+    assert scores == [1.0, 0.0]  # both empty; one empty
+    index, offsets = kernels.pack_line_sets([{"a", "b", "c"}])
+    scores = kernels.dice_batch({"b", "c", "d"}, index, offsets)
+    assert scores == [pytest.approx(2 * 2 / 6)]
+    assert kernels.pack_line_sets([]) == ({}, [0])
+    assert kernels.dice_batch({"a"}, {}, [0]) == []
 
 
-def test_dice_batch_rejects_negative_ids():
-    flat, offsets = kernels.pack_line_sets([np.array([0, 1], dtype=np.int64)])
-    with pytest.raises(ValueError):
-        kernels.dice_batch(np.array([-1, 1], dtype=np.int64), flat, offsets)
-    flat, offsets = kernels.pack_line_sets([np.array([0, -2], dtype=np.int64)])
-    with pytest.raises(ValueError):
-        kernels.dice_batch(np.array([0], dtype=np.int64), flat, offsets)
+def test_common_lines_post_the_candidates_that_lack_them():
+    index, offsets = kernels.pack_line_sets([{"}", "a"}, {"}", "b"}, {"}"}, {"b"}])
+    assert offsets == [0, 2, 4, 5, 6]
+    assert index == {"}": [4, ~3], "a": [0], "b": [1, 3]}  # "}" is held by 3 of 4
+    assert kernels.dice_batch({"}", "b"}, index, offsets) == [0.5, 1.0, 2 / 3, 2 / 3]
+
+
+def reference_pack_line_sets(sets):
+    # The CSR (flat, offsets) pair of int64 line-id arrays that the inverted
+    # index replaced.
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sets], dtype=np.int64, out=offsets[1:])
+    flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+    return flat, offsets
+
+
+def reference_member_dice_batch(query, flat, offsets):
+    # The member-table gather over dense line ids that the inverted index
+    # replaced: the query's ids are marked, then read back at every
+    # candidate id.
+    member = np.zeros(1 + max(query.max(initial=-1), flat.max(initial=-1)), dtype=bool)
+    member[query] = True
+    inter = np.diff(np.searchsorted(np.flatnonzero(member[flat]), offsets))
+    denom = len(query) + np.diff(offsets)
+    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
 
 
 def reference_hashed_line_set(lines):
@@ -108,27 +126,35 @@ def reference_dice(query, flat, offsets):
     return out
 
 
-def as_sorted_array(values):
-    return np.array(sorted(values), dtype=np.int64)
+def as_id_array(lines, ids):
+    # a line set as the sorted array of its interned ids
+    return np.array(sorted(ids.setdefault(ln, len(ids)) for ln in lines), dtype=np.int64)
 
 
-# line ids: a small pool, so ids recur across the query and the segments,
-# plus one large id far past the rest, so the member table is mostly unset
-SPARSE_ID = 2**20
-id_sets = st.sets(st.one_of(st.integers(0, 12), st.just(SPARSE_ID)),
-                  max_size=10).map(as_sorted_array)
+# lines from a small pool, so with a few candidates many lines are held by
+# more than half of them and take the complement path of the index
+line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
 
 
-@given(id_sets, st.lists(id_sets, max_size=8))
-@example(np.empty(0, dtype=np.int64), [])
-@example(np.empty(0, dtype=np.int64), [np.empty(0, dtype=np.int64), np.array([3], dtype=np.int64)])
-@example(np.array([1, 2], dtype=np.int64), [np.empty(0, dtype=np.int64)] * 3)
+@given(line_sets, st.lists(line_sets, max_size=8))
+@example(set(), [])
+@example(set(), [set(), {"a"}])
+@example({"a", "b"}, [set()] * 3)
+@example({"a", "z"}, [{"a"}, {"a", "b"}, {"a", "c"}])  # "a" held by all three
+@example({"a", "b"}, [{"a"}, {"a"}, {"b"}, {"c"}])     # held by exactly half
+@example({"a"}, [{"a"}])
 @settings(max_examples=400, deadline=None)
 def test_dice_batch_equals_per_candidate_loop(query, sets):
-    flat, offsets = kernels.pack_line_sets(sets)
-    scores = kernels.dice_batch(query[::-1], flat, offsets)  # ids in any order
-    assert scores.dtype == np.float64
-    assert scores.tobytes() == reference_dice(query, flat, offsets).tobytes()
+    index, offsets = kernels.pack_line_sets(sets)
+    scores = kernels.dice_batch(query, index, offsets)
+    assert all(type(score) is float for score in scores)
+    ids = {}
+    flat, ref_offsets = reference_pack_line_sets([as_id_array(s, ids) for s in sets])
+    ref_query = as_id_array(query, ids)
+    assert offsets == ref_offsets.tolist()
+    got = np.array(scores, dtype=np.float64).tobytes()
+    assert got == reference_dice(ref_query, flat, ref_offsets).tobytes()
+    assert got == reference_member_dice_batch(ref_query, flat, ref_offsets).tobytes()
 
 
 def _lcs_table(a, b):

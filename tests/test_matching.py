@@ -16,12 +16,17 @@ from driftlens.matching import (
     EvolutionRecord,
     MatchParams,
     _gap_test_accept,
+    _mean_std,
     dice_similarity,
     match_files,
     partition,
     similarity_lines,
 )
-from test_kernels import reference_dice_batch, reference_hashed_line_set
+from test_kernels import (
+    reference_dice_batch,
+    reference_hashed_line_set,
+    reference_pack_line_sets,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,23 +90,74 @@ def test_similarity_lines_equals_normalized_set(source):
     assert similarity_lines(source) == reference_similarity_lines(source)
 
 
+def reference_gap_test_accept(scores, params):
+    # The acceptance rule on a descending float64 array, with the gap mean
+    # and standard deviation from numpy, that the list port replaced.
+    s1 = scores[0]
+    if s1 < params.threshold:
+        return False
+    if len(scores) == 1:
+        return True
+    gaps = scores[:-1] - scores[1:]
+    mu = float(gaps.mean())
+    sigma = float(gaps.std())
+    return (s1 - scores[1]) >= mu + params.gap_multiplier * sigma
+
+
+def assert_mean_std_equal_numpy(values):
+    mu, sigma = _mean_std(values)
+    array = np.array(values, dtype=np.float64)
+    assert (mu.hex(), sigma.hex()) == (float(np.mean(array)).hex(), float(np.std(array)).hex())
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=700))
+@settings(max_examples=300, deadline=None)
+def test_mean_std_equal_numpy(values):
+    assert_mean_std_equal_numpy(values)
+
+
+@pytest.mark.parametrize("length", [7, 8, 9, 128, 129, 136, 8191, 8192, 8193])
+def test_mean_std_equal_numpy_at_block_edges(length):
+    # lengths around the unrolled 8 lanes, the 128 block and one 8192 buffer
+    rng = random.Random(length)
+    for _ in range(5):
+        assert_mean_std_equal_numpy([rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, 4)
+                                     for _ in range(length)])
+
+
+# Dice-valued scores 2k/d over small denominators, so gaps repeat and tie
+dice_scores = st.lists(st.builds(lambda k, d: 2.0 * min(k, d) / (2 * d) if d else 1.0,
+                                 st.integers(0, 40), st.integers(0, 40)),
+                       min_size=1, max_size=300)
+
+
+@given(dice_scores, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]))
+@settings(max_examples=500, deadline=None)
+def test_gap_test_equals_numpy_reference(scores, threshold, gap_multiplier):
+    ranked = sorted(scores, reverse=True)
+    params = MatchParams(threshold, gap_multiplier)
+    assert _gap_test_accept(ranked, params) == reference_gap_test_accept(
+        np.array(ranked, dtype=np.float64), params)
+
+
 def reference_match_files(old_set, new_set, params=MatchParams()):
     # match_files before dense line ids: raw hashes per file, scored by a
-    # searchsorted pass; the acceptance rule and greedy pass are unchanged.
+    # searchsorted pass and ranked and tested on numpy arrays; the greedy
+    # pass is unchanged.
     matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
     pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
     candidates = sorted((f for f in old_set.files if f.path not in new_set),
                         key=lambda f: f.path)
     if not pending or not candidates:
         return matches
-    flat, offsets = kernels.pack_line_sets(
+    flat, offsets = reference_pack_line_sets(
         [reference_hashed_line_set(reference_similarity_lines(f.source)) for f in candidates])
     accepted = []
     for f in pending:
         query = reference_hashed_line_set(reference_similarity_lines(f.source))
         scores = reference_dice_batch(query, flat, offsets)
         order = np.argsort(-scores, kind="stable")
-        if _gap_test_accept(scores[order], params):
+        if reference_gap_test_accept(scores[order], params):
             accepted.append((float(scores[order[0]]), f.path, candidates[order[0]].path))
     taken = set()
     for _, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
@@ -161,7 +217,7 @@ def exact_text_match_files(old_set, new_set, params):
     for f in pending:
         ranked = sorted(((dice_similarity(c, f), c.path) for c in candidates),
                         key=lambda t: -t[0])
-        if ranked and _gap_test_accept(np.array([s for s, _ in ranked]), params):
+        if ranked and _gap_test_accept([s for s, _ in ranked], params):
             accepted.append((ranked[0][0], f.path, ranked[0][1]))
     taken, scores = set(), {}
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):

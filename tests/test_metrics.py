@@ -10,6 +10,8 @@ from driftlens.matching import EvolutionRecord
 from driftlens.baselines import predict_naive
 from driftlens.metrics import (
     ConfusionCounts,
+    _prf,
+    _safe_div,
     auc_fpr_mcc,
     evaluate_predictions,
     harmonic_mean,
@@ -76,6 +78,101 @@ def class_prf_macro(labels, preds):
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class.append((precision, recall, f1))
     return tuple(float(np.mean([pc[k] for pc in per_class])) for k in range(3))
+
+
+def reference_from_labels(labels, preds):
+    # ConfusionCounts.from_labels as numpy mask counts, which broadcast a
+    # length-1 side over the other.
+    labels = np.asarray(labels)
+    preds = np.asarray(preds)
+    return ConfusionCounts(
+        tp=int(np.sum((preds == 1) & (labels == 1))),
+        fp=int(np.sum((preds == 1) & (labels == 0))),
+        tn=int(np.sum((preds == 0) & (labels == 0))),
+        fn=int(np.sum((preds == 0) & (labels == 1))),
+    )
+
+
+def reference_macro_prf(labels, preds):
+    # macro_prf on numpy arrays, mirroring the defective-class counts.
+    labels = np.asarray(labels)
+    preds = np.asarray(preds)
+    if labels.size == 0 or labels.shape != preds.shape:
+        raise ValueError("labels and preds must be equal-length and nonempty")
+    cc = reference_from_labels(labels, preds)
+    benign = _prf(cc.tn, cc.fn, cc.fp)
+    defective = _prf(cc.tp, cc.fp, cc.fn)
+    return tuple((b + d) / 2 for b, d in zip(benign, defective))
+
+
+def reference_average_ranks(scores):
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # 1-based average rank
+        i = j + 1
+    return ranks
+
+
+def reference_auc_fpr_mcc(labels, preds_or_scores):
+    # auc_fpr_mcc on float64 arrays: mergesort ranks, a numpy rank sum and np.sqrt.
+    labels = np.asarray(labels)
+    scores = np.asarray(preds_or_scores, dtype=np.float64)
+    if labels.size == 0 or labels.shape != scores.shape:
+        raise ValueError("labels and scores must be equal-length and nonempty")
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos and n_neg:
+        ranks = reference_average_ranks(scores)
+        auc = (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    else:
+        auc = 0.0
+    cc = reference_from_labels(labels, (scores > 0.5).astype(np.int64))
+    fpr = _safe_div(cc.fp, cc.fp + cc.tn)
+    mcc_den = np.sqrt(float(cc.tp + cc.fp) * float(cc.tp + cc.fn)
+                      * float(cc.tn + cc.fp) * float(cc.tn + cc.fn))
+    mcc = _safe_div(cc.tp * cc.tn - cc.fp * cc.fn, mcc_den)
+    return float(auc), float(fpr), float(mcc)
+
+
+def as_hex(values):
+    return tuple(float.hex(v) for v in values)
+
+
+binary_pairs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1,
+                        max_size=80)
+# few distinct scores, so most ranks are shared; 0.5 sits on the binarizing cut
+tied_scores = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                       min_size=1, max_size=80)
+
+
+class TestNumpyReferences:
+    @settings(max_examples=400, deadline=None)
+    @given(binary_pairs)
+    def test_macro_prf_equals_numpy(self, pairs):
+        labels, preds = [l for l, _ in pairs], [p for _, p in pairs]
+        assert as_hex(macro_prf(labels, preds)) == as_hex(reference_macro_prf(labels, preds))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(binary_pairs, tied_scores))
+    def test_auc_fpr_mcc_equals_numpy(self, pairs):
+        labels, scores = [l for l, _ in pairs], [s for _, s in pairs]
+        got = auc_fpr_mcc(labels, scores)
+        assert all(type(v) is float for v in got)
+        assert as_hex(got) == as_hex(reference_auc_fpr_mcc(labels, scores))
+
+
+def test_confusion_counts_reject_unequal_lengths():
+    with pytest.raises(ValueError):
+        ConfusionCounts.from_labels([1, 0, 1], [1])  # numpy broadcast this to tp=2, fp=1
+    with pytest.raises(ValueError):
+        ConfusionCounts.from_labels([1], [1, 1])
+    assert ConfusionCounts.from_labels([], []) == ConfusionCounts(0, 0, 0, 0)
 
 
 def row(record_id, subset, new_label, pred_label, old_label=None):

@@ -1,6 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +339,16 @@ class TestArtifactReaders:
 
 
 class TestCli:
+    def test_cli_import_loads_no_numpy(self):
+        """Every driftlens call pays for what `import driftlens.cli` loads."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, driftlens.cli; print('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_match_and_partition(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
         out = tmp_path / "matches.csv"
