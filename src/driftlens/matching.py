@@ -2,7 +2,10 @@
 
 New-version files are matched to predecessors by exact path first; the
 remainder is matched by Dice similarity over distinct normalized lines with
-a separation test on the sorted score gaps. Lines are compared by their
+a separation test on the sorted score gaps: the best candidate is accepted
+when its score s1 >= T and the top gap is at least the mean gap plus c times
+the population standard deviation of the gaps, decided exactly over the
+scores (see MatchParams). Lines are compared by their
 exact text, the relation dice_similarity uses: the candidates' line sets are
 indexed by line text once per run, and each query is scored against that
 index (see kernels). Matched corpora are then partitioned into
@@ -13,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 from . import kernels
@@ -26,7 +27,16 @@ SUBSETS = frozenset(SUBSET_ORDER)
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Similarity acceptance parameters: score threshold and gap multiplier."""
+    """Similarity acceptance parameters: score threshold T and gap multiplier c.
+
+    The best-scoring candidate s1 is accepted when s1 >= T and, with two or
+    more candidates, the top gap s1 - s2 of the descending scores is at least
+    the mean gap plus c times the population standard deviation of the gaps.
+    The gap test is decided exactly over the scores, with no rounding. T is
+    compared as the given float; that agrees with reading 0.7 as 7/10 for
+    any pair below about 10^14 lines, because a Dice score 2k/d other than
+    7/10 lies at least 1/(10d) from it.
+    """
 
     threshold: float = 0.7
     gap_multiplier: float = 1.0
@@ -34,8 +44,8 @@ class MatchParams:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
-        if not self.gap_multiplier >= 0.0:  # also rejects NaN
-            raise ValueError(f"gap_multiplier must be >= 0, got {self.gap_multiplier}")
+        if not 0.0 <= self.gap_multiplier < math.inf:  # also rejects NaN
+            raise ValueError(f"gap_multiplier must be finite and >= 0, got {self.gap_multiplier}")
 
 
 @dataclass(frozen=True)
@@ -103,54 +113,31 @@ def dice_similarity(old: VersionedFile, new: VersionedFile) -> float:
     return 2.0 * len(l1 & l2) / denom
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Float sum in the pairwise order of array-library reductions.
-
-    This order keeps the gap test's rounding, and so every match, as it was
-    when the gaps were summed as arrays. Under 8 values: one running sum
-    from 0.0. Up to 128: 8 running sums over the stride-8 lanes, combined as
-    a tree, then the tail added in order. Above that: the sum of two halves,
-    the first a multiple of 8 long.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        end = n - n % 8
-        r = [reduce(add, values[j:end:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[end:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and population standard deviation, each sum in pairwise order."""
-    mu = _pairwise_sum(values) / len(values)
-    deviations = [v - mu for v in values]
-    return mu, math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(values))
-
-
 def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
-    """Acceptance rule on descending scores: s1 >= T and a separated top gap.
+    """The MatchParams acceptance rule on descending scores.
 
-    With a single candidate only the threshold applies (the gap list is
-    empty); the gap standard deviation is the population deviation, so one
-    gap yields sigma = 0 and the mean-gap test still applies.
+    With a single candidate only the threshold applies. The gap test is
+    decided exactly: every score in [0, 1] is a whole multiple of the ulp of
+    the smallest nonzero score, so the scores scale to integers without
+    rounding. With m gaps g summing to A (= s1 - sn) and c = p/q, the rule
+    g1 >= A/m + c·sqrt(m·Σg² - A²)/m holds exactly when L = m·g1 - A >= 0
+    and (q·L)² >= p²·(m·Σg² - A²). A nonzero score below 2^-969 would
+    overflow the scaled float, but it needs a file of about 2^969 lines, so
+    it has no code path.
     """
     s1 = scores[0]
     if s1 < params.threshold:
         return False
     if len(scores) == 1:
         return True
-    mu, sigma = _mean_std([a - b for a, b in zip(scores, scores[1:])])
-    return (s1 - scores[1]) >= mu + params.gap_multiplier * sigma
+    unit = math.ulp(min(filter(None, scores), default=1.0))
+    ints = [int(s / unit) for s in scores]
+    gaps = [a - b for a, b in zip(ints, ints[1:])]
+    m = len(gaps)
+    total = ints[0] - ints[-1]
+    lead = m * gaps[0] - total
+    p, q = params.gap_multiplier.as_integer_ratio()
+    return lead >= 0 and (q * lead) ** 2 >= p * p * (m * sum(g * g for g in gaps) - total * total)
 
 
 def match_files(old_set: VersionSet, new_set: VersionSet,

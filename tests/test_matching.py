@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from driftlens.matching import (
     EvolutionRecord,
     MatchParams,
     _gap_test_accept,
-    _mean_std,
     dice_similarity,
     match_files,
     partition,
@@ -90,60 +90,48 @@ def test_similarity_lines_equals_normalized_set(source):
     assert similarity_lines(source) == reference_similarity_lines(source)
 
 
-def reference_gap_test_accept(scores, params):
-    # The acceptance rule on a descending float64 array, with the gap mean
-    # and standard deviation from numpy, that the list port replaced.
-    s1 = scores[0]
-    if s1 < params.threshold:
+def fraction_gap_test_accept(scores, params):
+    # The acceptance rule in exact rational arithmetic: the top gap against
+    # the gap mean plus c times the population standard deviation, with both
+    # sides squared to keep the square root out.
+    if scores[0] < params.threshold:
         return False
     if len(scores) == 1:
         return True
-    gaps = scores[:-1] - scores[1:]
-    mu = float(gaps.mean())
-    sigma = float(gaps.std())
-    return (s1 - scores[1]) >= mu + params.gap_multiplier * sigma
+    exact = [Fraction(s) for s in scores]
+    gaps = [a - b for a, b in zip(exact, exact[1:])]
+    mu = sum(gaps) / len(gaps)
+    variance = sum((g - mu) ** 2 for g in gaps) / len(gaps)
+    lead = gaps[0] - mu
+    return lead >= 0 and lead * lead >= Fraction(params.gap_multiplier) ** 2 * variance
 
 
-def assert_mean_std_equal_numpy(values):
-    mu, sigma = _mean_std(values)
-    array = np.array(values, dtype=np.float64)
-    assert (mu.hex(), sigma.hex()) == (float(np.mean(array)).hex(), float(np.std(array)).hex())
+# Dice-valued scores 2k/d over small denominators, so gaps repeat and tie,
+# and any float in [0, 1] down to the smallest score a file can produce
+score_lists = st.one_of(
+    st.lists(st.builds(lambda k, d: 2.0 * min(k, d) / (2 * d) if d else 1.0,
+                       st.integers(0, 40), st.integers(0, 40)),
+             min_size=1, max_size=300),
+    st.lists(st.one_of(st.just(0.0), st.floats(2.0 ** -969, 1.0)), min_size=1, max_size=50))
 
 
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=700))
-@settings(max_examples=300, deadline=None)
-def test_mean_std_equal_numpy(values):
-    assert_mean_std_equal_numpy(values)
-
-
-@pytest.mark.parametrize("length", [7, 8, 9, 128, 129, 136, 8191, 8192, 8193])
-def test_mean_std_equal_numpy_at_block_edges(length):
-    # lengths around the unrolled 8 lanes, the 128 block and one 8192 buffer
-    rng = random.Random(length)
-    for _ in range(5):
-        assert_mean_std_equal_numpy([rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, 4)
-                                     for _ in range(length)])
-
-
-# Dice-valued scores 2k/d over small denominators, so gaps repeat and tie
-dice_scores = st.lists(st.builds(lambda k, d: 2.0 * min(k, d) / (2 * d) if d else 1.0,
-                                 st.integers(0, 40), st.integers(0, 40)),
-                       min_size=1, max_size=300)
-
-
-@given(dice_scores, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]))
+@given(score_lists, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]))
+@example([1.0, 2 / 7, 0.1], 0.7, 1)   # top gap equals mean + sigma; floats rounded it below
+@example([0.5], 0.3, 1)               # one candidate: the threshold alone
+@example([0.0, 0.0, 0.0], 0.0, 1)     # all gaps zero
+@example([1.0, 1.0], 0.7, 1)          # tied at the top, nothing below
+@example([1.0, 1.0, 0.25], 0.7, 1)    # tied at the top above a lower score
 @settings(max_examples=500, deadline=None)
-def test_gap_test_equals_numpy_reference(scores, threshold, gap_multiplier):
+def test_gap_test_equals_fraction_oracle(scores, threshold, gap_multiplier):
     ranked = sorted(scores, reverse=True)
     params = MatchParams(threshold, gap_multiplier)
-    assert _gap_test_accept(ranked, params) == reference_gap_test_accept(
-        np.array(ranked, dtype=np.float64), params)
+    assert _gap_test_accept(ranked, params) == fraction_gap_test_accept(ranked, params)
 
 
 def reference_match_files(old_set, new_set, params=MatchParams()):
     # match_files before dense line ids: raw hashes per file, scored by a
-    # searchsorted pass and ranked and tested on numpy arrays; the greedy
-    # pass is unchanged.
+    # searchsorted pass and ranked on numpy arrays, then decided by the
+    # rational gap test; the greedy pass is unchanged.
     matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
     pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
     candidates = sorted((f for f in old_set.files if f.path not in new_set),
@@ -157,7 +145,7 @@ def reference_match_files(old_set, new_set, params=MatchParams()):
         query = reference_hashed_line_set(reference_similarity_lines(f.source))
         scores = reference_dice_batch(query, flat, offsets)
         order = np.argsort(-scores, kind="stable")
-        if reference_gap_test_accept(scores[order], params):
+        if fraction_gap_test_accept(scores[order].tolist(), params):
             accepted.append((float(scores[order[0]]), f.path, candidates[order[0]].path))
     taken = set()
     for _, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
@@ -299,6 +287,17 @@ class TestMatchFiles:
         assert matched_to_orig == ["new/CloseCopy.java"]
         assert matches["new/FarCopy.java"] is None
 
+    def test_exact_copy_accepted_when_top_gap_equals_mean_plus_sigma(self):
+        # scores 1, 2/7 and 1/10: with c = 1 and two gaps, mean + sigma is the
+        # larger gap, which the top gap equals exactly
+        old = vset([
+            lines_file("old/A.java", ["a", "b", "c", "d"]),
+            lines_file("old/B.java", ["a", "e", "f"]),
+            lines_file("old/C.java", ["a"] + [f"c only {i}" for i in range(15)]),
+        ], "v1")
+        new = vset([lines_file("new/A.java", ["a", "b", "c", "d"])], "v2")
+        assert match_files(old, new) == {"new/A.java": "old/A.java"}
+
     def test_path_matched_old_file_not_a_similarity_candidate(self):
         # a renamed file must not steal a still-present file's identity
         content = [f"line {i}" for i in range(30)]
@@ -370,6 +369,8 @@ class TestInvariants:
             MatchParams(gap_multiplier=-0.1)
         with pytest.raises(ValueError):
             MatchParams(gap_multiplier=math.nan)
+        with pytest.raises(ValueError):
+            MatchParams(gap_multiplier=math.inf)
         with pytest.raises(ValueError):
             MatchParams(threshold=math.nan)
 

@@ -454,7 +454,7 @@ class TestCli:
                                      out_dir=str(out_dir))
 
     @pytest.mark.parametrize("bad", [("--threshold", "2"), ("--gap-multiplier", "-1"),
-                                     ("--gap-multiplier", "nan")])
+                                     ("--gap-multiplier", "nan"), ("--gap-multiplier", "inf")])
     def test_bad_match_params_rejected_before_loading(self, tmp_path, capsys, bad):
         # the inputs do not exist: the error must name the parameter, not the file
         inputs = ["--old", str(tmp_path / "old.csv"), "--new", str(tmp_path / "new.csv"), *bad]
