@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +207,28 @@ def test_insert_into_empty():
     cs = diff("hello\n", "")
     assert cs.removed == ((1, "hello"),)
     assert apply_unified("hello\n", cs.unified) == ""
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload, files, digest", [
+    ("churn-m5", 24, "a56f0dce149b9ed96669c9cb7af44e97260bb0fad7fee89760112d3342de1636"),
+    ("context-debate", 6, "2382e13504356669184a791269076a92ee02e92c16554f6c111a781e8d88e0fc"),
+])
+def test_unified_diffs_of_perfbench_pairs_are_unchanged(monkeypatch, workload, files, digest):
+    # perfbench digests no diff text, so this pins the unified diffs of the
+    # path-stable changed files of two workloads at seed 11
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    old_rows, new_rows, _ = synth.generate(workloads.WORKLOADS[workload].corpus, 11)
+    old = {path: source for path, _, source in old_rows}
+    sha = hashlib.sha256()
+    changed = 0
+    for path, _, source in sorted(new_rows):
+        if path in old and old[path] != source:
+            sha.update(diff(old[path], source, 3, path).unified.encode("utf-8"))
+            changed += 1
+    assert changed == files
+    assert sha.hexdigest() == digest
