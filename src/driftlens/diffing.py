@@ -1,13 +1,16 @@
 """Line-level diffs between matched file versions and unified-diff rendering.
 
-The alignment is a longest-common-subsequence line diff (kernels.lcs_pairs).
-Lines are compared with their terminators so that a missing final newline is
-a real change; rendering emits the conventional backslash marker for it and
-apply_unified reproduces the new text byte-for-byte.
+The alignment is a longest-common-subsequence line diff: kernels.lcs_pairs
+returns its matching blocks, each block becomes one equal opcode, and each
+gap between blocks one replace, delete or insert. Lines are compared with
+their terminators so that a missing final newline is a real change;
+rendering emits the conventional backslash marker for it and apply_unified
+reproduces the new text byte-for-byte.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 
@@ -34,39 +37,27 @@ class ChangeSet:
 
 def split_keepends(source: str) -> list[str]:
     """Split on "\\n" keeping terminators; a final piece may lack one."""
-    if not source:
-        return []
-    parts = source.split("\n")
-    last = parts.pop()
-    pieces = [p + "\n" for p in parts]
-    if last != "":
-        pieces.append(last)
-    return pieces
+    return io.StringIO(source, newline="\n").readlines()
 
 
 def _display(piece: str) -> str:
     return piece[:-1] if piece.endswith("\n") else piece
 
 
-def _opcodes(pairs, n, m):
-    """difflib-style opcodes (tag, i1, i2, j1, j2) from LCS match pairs."""
+def _opcodes(blocks, n, m):
+    """difflib-style opcodes (tag, i1, i2, j1, j2) from non-adjacent matching blocks."""
     ops = []
     i = j = 0
-    for ai, bj in pairs + [(n, m)]:
+    for ai, bj, size in blocks + [(n, m, 0)]:
         if i < ai and j < bj:
             ops.append(("replace", i, ai, j, bj))
         elif i < ai:
             ops.append(("delete", i, ai, j, bj))
         elif j < bj:
             ops.append(("insert", i, ai, j, bj))
-        if ai < n and bj < m:
-            # extend the equal run across consecutive diagonal pairs
-            if ops and ops[-1][0] == "equal" and ops[-1][2] == ai and ops[-1][4] == bj:
-                tag, i1, _, j1, _ = ops.pop()
-                ops.append((tag, i1, ai + 1, j1, bj + 1))
-            else:
-                ops.append(("equal", ai, ai + 1, bj, bj + 1))
-        i, j = ai + 1, bj + 1
+        if size:
+            ops.append(("equal", ai, ai + size, bj, bj + size))
+        i, j = ai + size, bj + size
     return ops
 
 
@@ -138,8 +129,7 @@ def diff(old_source: str, new_source: str, context_lines: int = 3,
         raise ValueError("context_lines must be >= 0")
     a = split_keepends(old_source)
     b = split_keepends(new_source)
-    pairs = kernels.lcs_pairs(a, b)
-    ops = _opcodes(pairs, len(a), len(b))
+    ops = _opcodes(kernels.lcs_pairs(a, b), len(a), len(b))
 
     added = []
     removed = []
@@ -153,7 +143,7 @@ def diff(old_source: str, new_source: str, context_lines: int = 3,
         added=tuple(added),
         removed=tuple(removed),
         unified=unified,
-        changed_new_lines=tuple(sorted(n for n, _ in added)),
+        changed_new_lines=tuple(n for n, _ in added),  # opcodes run in ascending j
     )
 
 

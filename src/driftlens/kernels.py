@@ -1,7 +1,9 @@
 """Hot kernels: bit-parallel LCS alignment and batched Dice similarity.
 
-LCS fills each row of the table as one Python-int bitset, 64 cells per
-machine word; line_hash64 only breaks ties when an alignment is walked back.
+LCS keeps each row of the table as one Python-int bitset, 64 cells per
+machine word: the complement V of the row's step bits, which Hyyrö's
+recurrence updates. The walk-back reads table cells from V, emits one
+matching block per diagonal run, and uses line_hash64 only to break ties.
 Dice scores one query's line set against every candidate through an
 inverted index keyed by line text, so equal keys mean equal text: one
 Counter over the posting lists of the query's lines counts each candidate's
@@ -85,8 +87,6 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]],
 
 def _bitmask(positions: list[int], width: int) -> int:
     """The int with bit j set for each j in positions, all below width."""
-    if len(positions) == 1:
-        return 1 << positions[0]
     # one byte write per position; OR-ing 1 << j into an int costs O(width)
     # each, which is quadratic on a long run of one repeated line
     mark = bytearray((width + 7) >> 3)
@@ -96,62 +96,78 @@ def _bitmask(positions: list[int], width: int) -> int:
 
 
 def _step_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
-    """Rows 0..len(a) of the LCS table L of a and b, as step bitsets.
+    """Rows 0..len(a) of the LCS table L of a and b, as bitsets V.
 
-    Bit j of row i is set where L[i][j+1] - L[i][j] == 1, so L[i][j] is the
-    popcount of the row's low j bits. Each row follows from the last by
-    Hyyrö's recurrence V' = (V + (V & M)) | (V & ~M) on V, the complement of
-    the step bits, with M the positions in b of the row's line of a
-    (Allison & Dix 1986; Hyyrö 2004).
+    Bit j of row i is clear where L[i][j+1] - L[i][j] == 1, so L[i][j] is j
+    minus the popcount of the row's low j bits. Each row follows from the
+    last by Hyyrö's recurrence V' = (V + (V & M)) | (V & ~M), with M the
+    positions in b of the row's line of a (Allison & Dix 1986; Hyyrö 2004).
     """
     shared = set(a)  # only lines of a are ever looked up
     spots: dict[str, list[int]] = {}
     for j, line in enumerate(b):
         if line in shared:
             spots.setdefault(line, []).append(j)
-    match = {line: _bitmask(js, len(b)) for line, js in spots.items()}
+    match = {line: 1 << js[0] if len(js) == 1 else _bitmask(js, len(b))
+             for line, js in spots.items()}
     full = (1 << len(b)) - 1
     v = full
-    rows = [0]
+    rows = [v]
     for line in a:
         u = v & match.get(line, 0)
         v = ((v + u) | (v - u)) & full
-        rows.append(v ^ full)
+        rows.append(v)
     return rows
 
 
-def _walk_back(a: Sequence[str], b: Sequence[str], rows: list[int]) -> list[tuple[int, int]]:
-    """Recover one LCS alignment of a and b from their step rows.
+def _walk_back(a: Sequence[str], b: Sequence[str],
+               rows: list[int]) -> list[tuple[int, int, int]]:
+    """Recover one LCS alignment of a and b from their rows, as matching blocks.
+
+    A block (i, j, k) matches a[i:i+k] to b[j:j+k]. Each is one maximal
+    diagonal run of the walk, so blocks are never adjacent.
 
     Ties between the up/left moves are broken by comparing content hashes of
     the two candidate lines, which makes the chosen alignment covariant under
     swapping the inputs (diff(a,b) and diff(b,a) pick mirrored paths).
     """
-    pairs: list[tuple[int, int]] = []
+    blocks: list[tuple[int, int, int]] = []
     i, j = len(a), len(b)
     while i > 0 and j > 0:
         if a[i - 1] == b[j - 1]:
-            pairs.append((i - 1, j - 1))
-            i -= 1
-            j -= 1
+            k = 1
+            while k < i and k < j and a[i - 1 - k] == b[j - 1 - k]:
+                k += 1
+            i -= k
+            j -= k
+            blocks.append((i, j, k))
             continue
-        up = (rows[i - 1] & ((1 << j) - 1)).bit_count()
-        left = (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
+        # L[i-1][j] against L[i][j-1], each j minus a popcount of V
+        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
+        left = j - 1 - (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
         if up > left or (up == left and line_hash64(a[i - 1]) <= line_hash64(b[j - 1])):
             i -= 1
         else:
             j -= 1
-    pairs.reverse()
-    return pairs
+    blocks.reverse()
+    return blocks
 
 
-def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int, int]]:
-    """Indices (i, j) of one longest common subsequence of two line lists.
+def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int, int, int]]:
+    """Matching blocks (i, j, k) of one longest common subsequence of two line lists.
 
-    Common prefix and suffix are matched directly; the remaining middle is
-    aligned with bit-parallel LCS rows. Middles over LCS_CELL_BUDGET
-    cells get no interior matches (rendered as one replace block), which keeps
-    memory bounded on pathological pairs.
+    A block matches a_lines[i:i+k] to b_lines[j:j+k]; blocks have k > 0 and
+    increase strictly in i and j, the shape of difflib's get_matching_blocks
+    without its sentinel. They are never adjacent: walk-back runs are
+    maximal, and a middle block that touched the prefix or suffix would have
+    lengthened it. Expanded, they are the LCS index pairs (i, j) the
+    function is named for; the name stays because the benchmark times the
+    LCS kernel under it.
+
+    Common prefix and suffix are matched directly, one block each; the
+    remaining middle is aligned with bit-parallel LCS rows. Middles over
+    LCS_CELL_BUDGET cells get no interior matches (rendered as one replace
+    block), which keeps memory bounded on pathological pairs.
     """
     n, m = len(a_lines), len(b_lines)
     prefix = 0
@@ -162,12 +178,12 @@ def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int,
            and a_lines[n - 1 - suffix] == b_lines[m - 1 - suffix]):
         suffix += 1
 
-    pairs = [(k, k) for k in range(prefix)]
+    blocks = [(0, 0, prefix)] if prefix else []
     mid_a = a_lines[prefix : n - suffix]
     mid_b = b_lines[prefix : m - suffix]
     if mid_a and mid_b and (len(mid_a) + 1) * (len(mid_b) + 1) <= LCS_CELL_BUDGET:
         rows = _step_rows(mid_a, mid_b)
-        pairs.extend((i + prefix, j + prefix) for i, j in _walk_back(mid_a, mid_b, rows))
-    for k in range(suffix):
-        pairs.append((n - suffix + k, m - suffix + k))
-    return pairs
+        blocks.extend((i + prefix, j + prefix, k) for i, j, k in _walk_back(mid_a, mid_b, rows))
+    if suffix:
+        blocks.append((n - suffix, m - suffix, suffix))
+    return blocks

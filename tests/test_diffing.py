@@ -4,11 +4,13 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftlens import kernels
 from driftlens.diffing import (
     ChangeSet,
+    _opcodes,
     apply_unified,
     diff,
     parse_unified,
@@ -145,6 +147,78 @@ def test_minimality_bound():
         cs = diff(old, new)
         assert len(cs.added) + len(cs.removed) <= \
             len(split_keepends(old)) + len(split_keepends(new))
+
+
+def reference_split_keepends(source):
+    # The str.split body that split_keepends replaced with StringIO.readlines.
+    if not source:
+        return []
+    parts = source.split("\n")
+    last = parts.pop()
+    pieces = [p + "\n" for p in parts]
+    if last != "":
+        pieces.append(last)
+    return pieces
+
+
+# every line boundary str.splitlines knows, of which only "\n" may split
+@given(st.lists(st.sampled_from(["a", "b", " ", "\n", "\r", "\r\n", "\x0b", "\x1c", "\x85",
+                                 "\u2028", "\u2029", "\x0c", "\x1e"])).map("".join))
+@example("")
+@example("a\r\nb\rc\u2028d\n")
+@settings(max_examples=500, deadline=None)
+def test_split_keepends_splits_on_newline_only(source):
+    assert split_keepends(source) == reference_split_keepends(source)
+
+
+def expand(blocks):
+    # the matched index pairs (i, j) that matching blocks stand for
+    for i, j, size in blocks:
+        for t in range(size):
+            yield i + t, j + t
+
+
+def reference_opcodes(pairs, n, m):
+    # The per-pair loop that _opcodes replaced with one step per block: it
+    # rebuilt each equal run by merging consecutive diagonal pairs.
+    ops = []
+    i = j = 0
+    for ai, bj in pairs + [(n, m)]:
+        if i < ai and j < bj:
+            ops.append(("replace", i, ai, j, bj))
+        elif i < ai:
+            ops.append(("delete", i, ai, j, bj))
+        elif j < bj:
+            ops.append(("insert", i, ai, j, bj))
+        if ai < n and bj < m:
+            if ops and ops[-1][0] == "equal" and ops[-1][2] == ai and ops[-1][4] == bj:
+                tag, i1, _, j1, _ = ops.pop()
+                ops.append((tag, i1, ai + 1, j1, bj + 1))
+            else:
+                ops.append(("equal", ai, ai + 1, bj, bj + 1))
+        i, j = ai + 1, bj + 1
+    return ops
+
+
+# two line lists over 1-4 symbols around an optional shared prefix and
+# suffix, the shape of test_kernels' line_pairs
+line_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(
+    *[st.lists(st.sampled_from("abcd"[:size]), max_size=max_size)
+      for max_size in (8, 44, 44, 8)])).map(
+    lambda parts: (parts[0] + parts[1] + parts[3], parts[0] + parts[2] + parts[3]))
+
+
+@given(line_pairs)
+@example(([], []))
+@example((["a"], []))
+@example(([], ["a", "b"]))
+@example((["a", "b"], ["a", "b"]))
+@settings(max_examples=500, deadline=None)
+def test_opcodes_from_blocks_equal_pairwise_opcodes(pair):
+    a, b = pair
+    blocks = kernels.lcs_pairs(a, b)
+    n, m = len(a), len(b)
+    assert _opcodes(blocks, n, m) == reference_opcodes(list(expand(blocks)), n, m)
 
 
 def test_changed_new_lines_match_added():

@@ -25,15 +25,22 @@ def random_lines(rng, n, alphabet):
     return [rng.choice(alphabet) for _ in range(n)]
 
 
+def expand(blocks):
+    # the matched index pairs (i, j) that matching blocks stand for
+    for i, j, size in blocks:
+        for t in range(size):
+            yield i + t, j + t
+
+
 def test_pairs_are_a_valid_common_subsequence():
     rng = random.Random(7)
     alphabet = [f"line {c}" for c in "abcdefg"]
     for _ in range(200):
         a = random_lines(rng, rng.randrange(0, 25), alphabet)
         b = random_lines(rng, rng.randrange(0, 25), alphabet)
-        pairs = kernels.lcs_pairs(a, b)
+        pairs = list(expand(kernels.lcs_pairs(a, b)))
         assert all(a[i] == b[j] for i, j in pairs)
-        assert all(p1 < p2 for p1, p2 in zip(pairs, pairs[1:]))  # strictly increasing in both
+        assert all(i1 < i2 and j1 < j2 for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]))
         assert len(pairs) == brute_force_lcs_len(a, b)
 
 
@@ -41,7 +48,7 @@ def test_identical_and_empty_inputs():
     assert kernels.lcs_pairs([], []) == []
     assert kernels.lcs_pairs(["x"], []) == []
     assert kernels.lcs_pairs([], ["x"]) == []
-    assert kernels.lcs_pairs(["a", "b"], ["a", "b"]) == [(0, 0), (1, 1)]
+    assert kernels.lcs_pairs(["a", "b"], ["a", "b"]) == [(0, 0, 2)]
 
 
 def test_dice_batch_conventions():
@@ -241,23 +248,36 @@ DISTINCT = [f"line {k}" for k in range(40)]
 @settings(max_examples=500, deadline=None)
 def test_lcs_pairs_equals_int32_table(pair):
     a, b = pair
-    assert kernels.lcs_pairs(a, b) == reference_lcs_pairs(a, b)
+    assert list(expand(kernels.lcs_pairs(a, b))) == reference_lcs_pairs(a, b)
 
 
 @given(line_pairs)
 @settings(max_examples=500, deadline=None)
 def test_lcs_pairs_mirror_under_swap(pair):
     a, b = pair
-    assert kernels.lcs_pairs(b, a) == [(j, i) for i, j in kernels.lcs_pairs(a, b)]
+    assert kernels.lcs_pairs(b, a) == [(j, i, k) for i, j, k in kernels.lcs_pairs(a, b)]
+
+
+@given(line_pairs)
+@example((["a", "b", "x", "c"], ["a", "b", "c"]))  # prefix, then a middle, then suffix
+@example((["x", "a", "y"], ["a"]))
+@settings(max_examples=500, deadline=None)
+def test_blocks_are_nonempty_increasing_and_never_adjacent(pair):
+    a, b = pair
+    blocks = kernels.lcs_pairs(a, b)
+    assert all(size > 0 for _, _, size in blocks)
+    for (i1, j1, k1), (i2, j2, _) in zip(blocks, blocks[1:]):
+        assert i1 + k1 <= i2 and j1 + k1 <= j2
+        assert (i1 + k1, j1 + k1) != (i2, j2)
 
 
 def test_cell_budget_degrades_to_replace_block(monkeypatch):
     monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", 4)
     a = ["p", "x1", "y1", "z1", "s"]
     b = ["p", "x2", "y1", "z2", "s"]
-    pairs = kernels.lcs_pairs(a, b)
+    blocks = kernels.lcs_pairs(a, b)
     # prefix and suffix still align; the oversized middle yields no matches
-    assert pairs == [(0, 0), (4, 4)]
+    assert blocks == [(0, 0, 1), (4, 4, 1)]
 
 
 def test_cell_budget_boundary(monkeypatch):
@@ -265,9 +285,9 @@ def test_cell_budget_boundary(monkeypatch):
     b = ["p", "y1", "x2", "w", "q", "s"]
     cells = (4 + 1) * (4 + 1)  # the middles after stripping "p" and "s"
     monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", cells)
-    assert kernels.lcs_pairs(a, b) == [(0, 0), (2, 1), (4, 3), (5, 5)]
+    assert kernels.lcs_pairs(a, b) == [(0, 0, 1), (2, 1, 1), (4, 3, 1), (5, 5, 1)]
     monkeypatch.setattr(kernels, "LCS_CELL_BUDGET", cells - 1)
-    assert kernels.lcs_pairs(a, b) == [(0, 0), (5, 5)]
+    assert kernels.lcs_pairs(a, b) == [(0, 0, 1), (5, 5, 1)]
 
 
 def test_line_hash_is_stable():
