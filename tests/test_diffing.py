@@ -289,10 +289,11 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 @pytest.mark.parametrize("workload, files, digest", [
     ("churn-m5", 24, "a56f0dce149b9ed96669c9cb7af44e97260bb0fad7fee89760112d3342de1636"),
     ("context-debate", 6, "2382e13504356669184a791269076a92ee02e92c16554f6c111a781e8d88e0fc"),
+    ("endpoint-m5", 48, "dc49aa0e9940c0fe02bde90f5995fbb78be7a61622b577e050320259c3f69c74"),
 ])
 def test_unified_diffs_of_perfbench_pairs_are_unchanged(monkeypatch, workload, files, digest):
     # perfbench digests no diff text, so this pins the unified diffs of the
-    # path-stable changed files of two workloads at seed 11
+    # path-stable changed files of three workloads at seed 11
     monkeypatch.syspath_prepend(str(PERFBENCH))
     synth = importlib.import_module("synth")
     workloads = importlib.import_module("workloads")
