@@ -71,9 +71,9 @@ def _given(args) -> dict:
 
 def _partitioned(args):
     config = pipeline.RunConfig(**_given(args))
-    params = config.match_params()  # before loading, so bad values fail fast
+    config.check_ranges()  # before loading, so bad values fail fast
     old_set, new_set = pipeline.load_sets(config)
-    matches = match_files(old_set, new_set, params)
+    matches = match_files(old_set, new_set, config.match_params())
     records, stats = partition(old_set, new_set, matches)
     return config, old_set, records, stats
 

@@ -75,6 +75,17 @@ class RunConfig:
             raise ConfigurationError(f"unknown baseline {self.baseline!r}")
         if self.method and self.method not in METHOD_IDS:
             raise ConfigurationError(f"unknown method {self.method!r}")
+        self.check_ranges()
+        if self.debate:
+            try:
+                self.debate_config()
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
+        self.role_models()
+        self.subset_caps()
+
+    def check_ranges(self) -> None:
+        """Reject a numeric field out of range, matching parameters included."""
         if self.max_in_flight < 1:
             raise ConfigurationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.diff_context < 0:
@@ -85,13 +96,6 @@ class RunConfig:
         if self.exemplar_count < 0:
             raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
         self.match_params()
-        if self.debate:
-            try:
-                self.debate_config()
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from exc
-        self.role_models()
-        self.subset_caps()
 
     def match_params(self) -> MatchParams:
         """The matching parameters; a bad threshold or multiplier is a ConfigurationError."""

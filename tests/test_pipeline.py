@@ -473,6 +473,17 @@ class TestCli:
             assert err.startswith("error:") and bad[0][2:].replace("-", "_") in err, argv
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [["diff", "--context", "-1"], ["context", "--depth", "-2"],
+                                      ["context", "--max-lines", "-5"],
+                                      ["prompt", "--method", "M5", "--max-lines", "-1"]])
+    def test_bad_diff_and_context_flags_rejected_before_loading(self, tmp_path, capsys, argv):
+        # the inputs do not exist: the error must name the flag's field, not the file
+        assert cli_main([*argv, "--old", str(tmp_path / "old.csv"), "--new",
+                         str(tmp_path / "new.csv"), "--record", "pkg/B10.java"]) == 2
+        err = capsys.readouterr().err
+        field = {"--context": "diff_context"}.get(argv[-2], argv[-2][2:].replace("-", "_"))
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
     def test_flag_defaults_match_run_config(self):
         subparsers = next(action for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
