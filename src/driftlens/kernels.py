@@ -1,11 +1,15 @@
-"""Hot kernels: bit-parallel LCS alignment and batched Dice similarity.
+"""Hot kernels: LCS alignment and batched Dice similarity.
 
-LCS keeps each row of the table as one Python-int bitset, 64 cells per
-machine word: the complement V of the row's step bits, which Hyyrö's
-recurrence updates. The walk-back reads table cells from V, emits one
-matching block per diagonal run, and uses line_hash64 only to break ties.
-Dice scores one query's line set against every candidate through an
-inverted index keyed by line text, so equal keys mean equal text: one
+LCS strips the common prefix and suffix, then fills the walk-back's table
+cells for the middle in one of two ways. Myers' forward pass keeps, for
+each edit distance d, how far each diagonal reaches; its work grows with
+d, so it serves middles that changed little. Otherwise Hyyrö's
+bit-parallel recurrence keeps each row as one Python-int bitset, 64 cells
+per machine word. One walk-back reads either table, emits one matching
+block per diagonal run, and uses line_hash64 only to break ties, so both
+give the same blocks. Every common run is found by galloping slice
+compares. Dice scores one query's line set against every candidate through
+an inverted index keyed by line text, so equal keys mean equal text: one
 Counter over the posting lists of the query's lines counts each candidate's
 shared lines (the ScanCount merge of Li, Lu & Lu, ICDE 2008).
 """
@@ -13,15 +17,19 @@ shared lines (the ScanCount merge of Li, Lu & Lu, ICDE 2008).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import Counter
-from itertools import chain
-from typing import Collection, Iterable, Sequence
+from itertools import chain, count
+from math import isqrt
+from typing import Callable, Collection, Iterable, Sequence
 
 # LCS size guard: middles larger than this many cells (after common
 # prefix/suffix stripping) are treated as one opaque replace block instead of
-# being aligned line-by-line. The kept row bits take (n+1)*m bits, 2 MB at
-# this budget; the value stays so that output on over-budget middles is
-# unchanged.
+# being aligned line-by-line, whichever way their cells would be filled. It
+# is checked before Myers' pass, so a middle over it gets no matches even
+# when it changed little. The row bits of the fallback take (n+1)*m bits,
+# 2 MB at this budget; the value stays so that output on over-budget middles
+# is unchanged.
 LCS_CELL_BUDGET = 16_000_000
 
 # Name of the kernel implementation, reported in benchmark environment lines.
@@ -95,8 +103,33 @@ def _bitmask(positions: list[int], width: int) -> int:
     return int.from_bytes(mark, "little")
 
 
-def _step_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
-    """Rows 0..len(a) of the LCS table L of a and b, as bitsets V.
+def _common_run(a: Sequence[str], i: int, b: Sequence[str], j: int, most: int,
+                back: bool = False) -> int:
+    """The largest k <= most with a[i:i+k] == b[j:j+k], or a[i-k:i] == b[j-k:j] if back.
+
+    Gallops: compares slices of doubling length until one differs, then
+    bisects that one, so a run of k lines takes O(log k) steps here and
+    O(k) line compares inside list equality. a and b must be of one type:
+    a list slice never equals a tuple slice.
+    """
+    lo, hi, step = 0, most + 1, 1  # the run is at least lo and less than hi
+    while hi - lo > 1:
+        width = hi - lo
+        mid = lo + (step if 2 * step <= width else width >> 1)
+        if back:
+            same = a[i - mid : i - lo] == b[j - mid : j - lo]
+        else:
+            same = a[i + lo : i + mid] == b[j + lo : j + mid]
+        if same:
+            lo = mid
+            step += step
+        else:
+            hi = mid
+    return lo
+
+
+def _step_rows(a: Sequence[str], b: Sequence[str]) -> Callable[[int, int], int]:
+    """The LCS table L of a and b as a cell reader L(i, j), from bitset rows V.
 
     Bit j of row i is clear where L[i][j+1] - L[i][j] == 1, so L[i][j] is j
     minus the popcount of the row's low j bits. Each row follows from the
@@ -117,15 +150,62 @@ def _step_rows(a: Sequence[str], b: Sequence[str]) -> list[int]:
         u = v & match.get(line, 0)
         v = ((v + u) | (v - u)) & full
         rows.append(v)
-    return rows
+    return lambda i, j: j - (rows[i] & ((1 << j) - 1)).bit_count()
+
+
+def _frontier(a: Sequence[str], b: Sequence[str],
+              budget: int | None = None) -> Callable[[int, int], int] | None:
+    """The LCS table L of a and b as a cell reader L(i, j), from Myers' forward pass.
+
+    Round d takes the furthest-reaching path with d non-diagonal steps on
+    each diagonal k = i - j, -d <= k <= d, and follows its snake (Myers,
+    Algorithmica 1986). The pass stops at the round that reaches (n, m); it
+    returns None instead once the diagonals evaluated, d + 1 per round,
+    would exceed the budget, which it does at once if round |n - m|, the
+    least final round, would. Diagonals run past the grid's edge, where no
+    line matches, which changes no cell inside it.
+
+    The distance D(i, j) = i + j - 2 L[i][j] never decreases along a
+    diagonal, so it is the t-th d, from |k| in steps of 2, where t counts
+    the frontiers on k that fall short of i; then L[i][j] = min(i, j) - t.
+    A cell the pass never reached has every frontier short, so it reads
+    as the next d: right for the cells the walk-back reads, on an optimal
+    path with D at most the last round, and their neighbours, one more.
+    """
+    n, m = len(a), len(b)
+    if budget is None:
+        budget = (n + m + 1) * (n + m + 2) // 2  # round n + m always reaches (n, m)
+    gap = abs(n - m)
+    if (gap + 1) * (gap + 2) // 2 > budget:
+        return None
+    v = [0] * (2 * isqrt(2 * budget) + 3)  # the furthest x on diagonal k; k < 0 from the end
+    reach: list[list[int]] = [[] for _ in v]  # every round's furthest x on diagonal k
+    work = 0
+    for d in count():
+        work += d + 1
+        if work > budget:
+            return None
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[k - 1] < v[k + 1]):
+                x = v[k + 1]
+            else:
+                x = v[k - 1] + 1
+            y = x - k
+            if x < n and y < m and a[x] == b[y]:
+                x += 1 + _common_run(a, x + 1, b, y + 1, min(n - x, m - y) - 1)
+            v[k] = x
+            reach[k].append(x)
+            if x >= n and x - k >= m:
+                return lambda i, j: min(i, j) - bisect_left(reach[i - j], i)
 
 
 def _walk_back(a: Sequence[str], b: Sequence[str],
-               rows: list[int]) -> list[tuple[int, int, int]]:
-    """Recover one LCS alignment of a and b from their rows, as matching blocks.
+               lcs: Callable[[int, int], int]) -> list[tuple[int, int, int]]:
+    """Recover one LCS alignment of a and b from their table's cells, as matching blocks.
 
     A block (i, j, k) matches a[i:i+k] to b[j:j+k]. Each is one maximal
-    diagonal run of the walk, so blocks are never adjacent.
+    diagonal run of the walk, so blocks are never adjacent. The alignment
+    depends only on the cell values, never on which reader filled them.
 
     Ties between the up/left moves are broken by comparing content hashes of
     the two candidate lines, which makes the chosen alignment covariant under
@@ -135,16 +215,13 @@ def _walk_back(a: Sequence[str], b: Sequence[str],
     i, j = len(a), len(b)
     while i > 0 and j > 0:
         if a[i - 1] == b[j - 1]:
-            k = 1
-            while k < i and k < j and a[i - 1 - k] == b[j - 1 - k]:
-                k += 1
+            k = 1 + _common_run(a, i - 1, b, j - 1, min(i, j) - 1, back=True)
             i -= k
             j -= k
             blocks.append((i, j, k))
             continue
-        # L[i-1][j] against L[i][j-1], each j minus a popcount of V
-        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
-        left = j - 1 - (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
+        up = lcs(i - 1, j)
+        left = lcs(i, j - 1)
         if up > left or (up == left and line_hash64(a[i - 1]) <= line_hash64(b[j - 1])):
             i -= 1
         else:
@@ -164,26 +241,23 @@ def lcs_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[int,
     function is named for; the name stays because the benchmark times the
     LCS kernel under it.
 
-    Common prefix and suffix are matched directly, one block each; the
-    remaining middle is aligned with bit-parallel LCS rows. Middles over
-    LCS_CELL_BUDGET cells get no interior matches (rendered as one replace
-    block), which keeps memory bounded on pathological pairs.
+    Common prefix and suffix are matched directly, one block each. The
+    remaining middle's table is read from Myers' forward pass while that
+    costs no more diagonals than the middle has lines of a_lines, and from
+    bit-parallel LCS rows otherwise; the same walk-back picks the blocks.
+    Middles over LCS_CELL_BUDGET cells get no interior matches (rendered as
+    one replace block), which keeps memory bounded on pathological pairs.
     """
     n, m = len(a_lines), len(b_lines)
-    prefix = 0
-    while prefix < n and prefix < m and a_lines[prefix] == b_lines[prefix]:
-        prefix += 1
-    suffix = 0
-    while (suffix < n - prefix and suffix < m - prefix
-           and a_lines[n - 1 - suffix] == b_lines[m - 1 - suffix]):
-        suffix += 1
+    prefix = _common_run(a_lines, 0, b_lines, 0, min(n, m))
+    suffix = _common_run(a_lines, n, b_lines, m, min(n, m) - prefix, back=True)
 
     blocks = [(0, 0, prefix)] if prefix else []
     mid_a = a_lines[prefix : n - suffix]
     mid_b = b_lines[prefix : m - suffix]
     if mid_a and mid_b and (len(mid_a) + 1) * (len(mid_b) + 1) <= LCS_CELL_BUDGET:
-        rows = _step_rows(mid_a, mid_b)
-        blocks.extend((i + prefix, j + prefix, k) for i, j, k in _walk_back(mid_a, mid_b, rows))
+        lcs = _frontier(mid_a, mid_b, len(mid_a)) or _step_rows(mid_a, mid_b)
+        blocks.extend((i + prefix, j + prefix, k) for i, j, k in _walk_back(mid_a, mid_b, lcs))
     if suffix:
         blocks.append((n - suffix, m - suffix, suffix))
     return blocks

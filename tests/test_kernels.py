@@ -293,3 +293,106 @@ def test_cell_budget_boundary(monkeypatch):
 def test_line_hash_is_stable():
     assert kernels.line_hash64("total += arr[i];") == kernels.line_hash64("total += arr[i];")
     assert kernels.line_hash64("a") != kernels.line_hash64("b")
+
+
+@st.composite
+def edited_copies(draw):
+    # a base list and a copy with up to 6 inserts, deletes or replaces of up
+    # to 8 lines, over 1-6 symbols so lines repeat; either side comes first
+    symbols = "abcdef"[: draw(st.integers(1, 6))]
+    base = draw(st.lists(st.sampled_from(symbols), max_size=200))
+    edited = list(base)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        at = draw(st.integers(0, len(edited)))
+        size = draw(st.integers(1, 8))
+        if kind != "insert":
+            del edited[at : at + size]
+        if kind != "delete":
+            edited[at:at] = draw(st.lists(st.sampled_from(symbols), min_size=size, max_size=size))
+    return (base, edited) if draw(st.booleans()) else (edited, base)
+
+
+ONE_SIDED = [
+    (["a"], ["b"]),
+    (["a"], ["b", "a", "b"]),
+    (["a", "b", "a"], ["b"]),
+    (["x"] * 60 + ["a"], ["a", "y"]),          # n >> m
+    (["p", "q"], ["q"] + ["x"] * 60 + ["p"]),  # m >> n
+    (["a", "b"], ["c", "d", "e", "f", "g"]),    # frontiers run past the grid's edge
+    (["a", "b", "c", "d", "e"], ["e", "f"]),
+]
+
+
+@given(edited_copies())
+@example((["a"], ["b"]))
+@example((["x"] * 60 + ["a"], ["a", "y"]))
+@example((["p", "q"], ["q"] + ["x"] * 60 + ["p"]))
+@settings(max_examples=300, deadline=None)
+def test_lcs_pairs_of_edited_copies_equal_int32_table(pair):
+    a, b = pair
+    blocks = kernels.lcs_pairs(a, b)
+    assert list(expand(blocks)) == reference_lcs_pairs(a, b)
+    assert kernels.lcs_pairs(b, a) == [(j, i, k) for i, j, k in blocks]
+
+
+@given(st.one_of(edited_copies(), line_pairs, st.sampled_from(ONE_SIDED)))
+@settings(max_examples=400, deadline=None)
+def test_frontier_walk_back_equals_rows_walk_back(pair):
+    a, b = pair
+    frontier = kernels._frontier(a, b)  # no budget: the pass always reaches (n, m)
+    assert kernels._walk_back(a, b, frontier) == kernels._walk_back(a, b, kernels._step_rows(a, b))
+
+
+@pytest.mark.parametrize("pair", ONE_SIDED)
+def test_one_sided_and_edge_pairs(pair):
+    a, b = pair
+    assert list(expand(kernels.lcs_pairs(a, b))) == reference_lcs_pairs(a, b)
+    frontier = kernels._frontier(a, b)
+    assert kernels._walk_back(a, b, frontier) == kernels._walk_back(a, b, kernels._step_rows(a, b))
+
+
+@given(st.lists(st.sampled_from("ab"), max_size=30), st.lists(st.sampled_from("ab"), max_size=30),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_common_run_equals_line_loop(a, b, data):
+    i = data.draw(st.integers(0, len(a)))
+    j = data.draw(st.integers(0, len(b)))
+    most = data.draw(st.integers(0, min(len(a) - i, len(b) - j)))
+    k = 0
+    while k < most and a[i + k] == b[j + k]:
+        k += 1
+    assert kernels._common_run(a, i, b, j, most) == k
+    most = data.draw(st.integers(0, min(i, j)))
+    k = 0
+    while k < most and a[i - 1 - k] == b[j - 1 - k]:
+        k += 1
+    assert kernels._common_run(a, i, b, j, most, back=True) == k
+
+
+def _fail(*args):
+    raise AssertionError("the bit-parallel rows were not needed")
+
+
+def test_small_distance_middle_skips_the_rows(monkeypatch):
+    # a ~900-line file edited at its first and last line leaves the whole
+    # file as the middle; its distance is 4, so the frontier fills the cells
+    a = ["}\n" if k % 7 == 0 else f"line {k}\n" for k in range(900)]
+    b = ["first\n", *a[1:450], "inserted\n", *a[450:-1], "last\n"]
+    monkeypatch.setattr(kernels, "_step_rows", _fail)
+    blocks = kernels.lcs_pairs(a, b)
+    assert blocks == [(1, 1, 449), (450, 451, 449)]
+    assert list(expand(blocks)) == reference_lcs_pairs(a, b)
+
+
+@pytest.mark.parametrize("pair", [
+    ([f"a{k}" for k in range(40)], [f"b{k}" for k in range(40)]),  # distance 80
+    (["x"] * 50 + ["a", "z"], ["a", "y"]),                          # |n - m| alone is too far
+])
+def test_large_distance_middle_falls_back_to_rows(monkeypatch, pair):
+    a, b = pair
+    calls = []
+    step_rows = kernels._step_rows
+    monkeypatch.setattr(kernels, "_step_rows", lambda *ab: calls.append(ab) or step_rows(*ab))
+    assert list(expand(kernels.lcs_pairs(a, b))) == reference_lcs_pairs(a, b)
+    assert calls == [(a, b)]
