@@ -313,7 +313,7 @@ def edited_copies(draw):
     return (base, edited) if draw(st.booleans()) else (edited, base)
 
 
-ONE_SIDED = [
+EDGE_PAIRS = [
     (["a"], ["b"]),
     (["a"], ["b", "a", "b"]),
     (["a", "b", "a"], ["b"]),
@@ -325,9 +325,6 @@ ONE_SIDED = [
 
 
 @given(edited_copies())
-@example((["a"], ["b"]))
-@example((["x"] * 60 + ["a"], ["a", "y"]))
-@example((["p", "q"], ["q"] + ["x"] * 60 + ["p"]))
 @settings(max_examples=300, deadline=None)
 def test_lcs_pairs_of_edited_copies_equal_int32_table(pair):
     a, b = pair
@@ -336,7 +333,7 @@ def test_lcs_pairs_of_edited_copies_equal_int32_table(pair):
     assert kernels.lcs_pairs(b, a) == [(j, i, k) for i, j, k in blocks]
 
 
-@given(st.one_of(edited_copies(), line_pairs, st.sampled_from(ONE_SIDED)))
+@given(st.one_of(edited_copies(), line_pairs))
 @settings(max_examples=400, deadline=None)
 def test_frontier_walk_back_equals_rows_walk_back(pair):
     a, b = pair
@@ -344,10 +341,12 @@ def test_frontier_walk_back_equals_rows_walk_back(pair):
     assert kernels._walk_back(a, b, frontier) == kernels._walk_back(a, b, kernels._step_rows(a, b))
 
 
-@pytest.mark.parametrize("pair", ONE_SIDED)
+@pytest.mark.parametrize("pair", EDGE_PAIRS)
 def test_one_sided_and_edge_pairs(pair):
     a, b = pair
-    assert list(expand(kernels.lcs_pairs(a, b))) == reference_lcs_pairs(a, b)
+    blocks = kernels.lcs_pairs(a, b)
+    assert list(expand(blocks)) == reference_lcs_pairs(a, b)
+    assert kernels.lcs_pairs(b, a) == [(j, i, k) for i, j, k in blocks]
     frontier = kernels._frontier(a, b)
     assert kernels._walk_back(a, b, frontier) == kernels._walk_back(a, b, kernels._step_rows(a, b))
 
