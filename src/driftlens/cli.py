@@ -13,7 +13,7 @@ from .baselines import BASELINE_KINDS
 from .errors import DriftlensError
 from .matching import match_files, partition
 from .metrics import evaluate_predictions, render_text
-from .prompting import build_method_prompt, build_role_prompt
+from .prompting import REQUIRED_INPUTS, build_method_prompt, build_role_prompt
 
 # Flags spelled differently from the RunConfig field they set. A
 # (subcommand, field) key applies to that subcommand only.
@@ -132,7 +132,7 @@ def cmd_prompt(args) -> int:
         bundle = build_role_prompt(config.method, record, cs, ctx)
     else:
         exemplars = None
-        if config.method == "M7":
+        if "exemplars" in REQUIRED_INPUTS.get(config.method, ()):
             exemplars = pipeline.pick_exemplars(old_set, config.exemplar_count, config.seed)
         bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)
     print("=== system ===")

@@ -28,7 +28,7 @@ class ChangeSet:
     added: tuple[tuple[int, str], ...]     # (new-file line number, text)
     removed: tuple[tuple[int, str], ...]   # (old-file line number, text)
     unified: str
-    changed_new_lines: tuple[int, ...]
+    changed_new_lines: tuple[int, ...]     # added lines and the new lines around each deletion
 
     @property
     def is_empty(self) -> bool:
@@ -133,17 +133,20 @@ def diff(old_source: str, new_source: str, context_lines: int = 3,
 
     added = []
     removed = []
+    anchors = []
     for tag, i1, i2, j1, j2 in ops:
         if tag in ("replace", "delete"):
             removed.extend((i + 1, _display(a[i])) for i in range(i1, i2))
         if tag in ("replace", "insert"):
             added.extend((j + 1, _display(b[j])) for j in range(j1, j2))
+        if tag == "delete":  # adds no line, so anchor it on the new lines around its gap
+            anchors.extend(range(max(j1, 1), min(j1 + 1, len(b)) + 1))
     unified = _render_unified(a, b, ops, context_lines, path)
     return ChangeSet(
         added=tuple(added),
         removed=tuple(removed),
         unified=unified,
-        changed_new_lines=tuple(n for n, _ in added),  # opcodes run in ascending j
+        changed_new_lines=tuple(sorted({n for n, _ in added}.union(anchors))),
     )
 
 

@@ -1,8 +1,10 @@
 """Standard and change-aware evaluation metrics.
 
-Macro precision/recall/F1 use the 0/0 -> 0 convention per class. AUC is the
-rank-based Mann-Whitney statistic (ties get half credit), so on binary
-predictions it equals balanced accuracy. Change-aware metrics report
+Every metric scores 0/1 predictions against 0/1 labels, and anything else is
+a ValueError. Macro precision/recall/F1 use the 0/0 -> 0 convention per
+class. AUC is the Mann-Whitney statistic of the predictions (ties get half
+credit), which on 0/1 predictions is the balanced accuracy; it is decided
+exactly from the confusion counts. Change-aware metrics report
 per-subset accuracies and their harmonic means HMB (benign-prior subsets
 B00/D01) and HMD (defective-prior subsets B10/D11); empty subsets are
 reported as absent rather than zero.
@@ -42,7 +44,11 @@ class ConfusionCounts:
         if len(labels) != len(preds):
             raise ValueError(f"{len(labels)} labels against {len(preds)} predictions")
         pairs = Counter(zip(preds, labels))
-        return cls(tp=pairs[1, 1], fp=pairs[1, 0], tn=pairs[0, 0], fn=pairs[0, 1])
+        counts = cls(tp=pairs[1, 1], fp=pairs[1, 0], tn=pairs[0, 0], fn=pairs[0, 1])
+        if counts.total != len(labels):
+            raise ValueError("labels and predictions must be 0 or 1; "
+                             f"{len(labels) - counts.total} pair(s) are not")
+        return counts
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -69,44 +75,21 @@ def macro_prf(labels, preds) -> tuple[float, float, float]:
     return tuple((b + d) / 2 for b, d in zip(benign, defective))
 
 
-def _average_ranks(scores: list[float]) -> list[float]:
-    """1-based ranks of scores in ascending order, ties sharing their average rank."""
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for k in order[i:j + 1]:
-            ranks[k] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def auc_fpr_mcc(labels, preds) -> tuple[float, float, float]:
+    """AUC, false positive rate and Matthews correlation of 0/1 predictions.
 
-
-def auc_fpr_mcc(labels, preds_or_scores) -> tuple[float, float, float]:
-    """Rank-based AUC, false positive rate, and Matthews correlation.
-
-    Scores may be binary predictions; FPR and MCC binarize at 0.5 (identity
-    for binary inputs). Degenerate populations yield 0.0. Ranks are
-    half-integers, so their sum is exact in any order.
+    The AUC counts each (defective, benign) pair ranked right as 1 and each
+    tie as 1/2: (2*tp*tn + tp*fp + tn*fn) / (2*P*N), one correctly rounded
+    division of integers. A metric whose denominator is 0 (a class absent) is
+    0.0.
     """
-    scores = [float(s) for s in preds_or_scores]
-    if len(labels) == 0 or len(labels) != len(scores):
-        raise ValueError("labels and scores must be equal-length and nonempty")
-
-    n_pos = sum(1 for label in labels if label == 1)
-    n_neg = sum(1 for label in labels if label == 0)
-    if n_pos and n_neg:
-        pos_rank_sum = sum(r for r, label in zip(_average_ranks(scores), labels) if label == 1)
-        auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    else:
-        auc = 0.0
-
-    cc = ConfusionCounts.from_labels(labels, [int(s > 0.5) for s in scores])
-    fpr = _safe_div(cc.fp, cc.fp + cc.tn)
-    mcc_den = math.sqrt(float(cc.tp + cc.fp) * float(cc.tp + cc.fn)
-                        * float(cc.tn + cc.fp) * float(cc.tn + cc.fn))
+    if len(labels) == 0 or len(labels) != len(preds):
+        raise ValueError("labels and preds must be equal-length and nonempty")
+    cc = ConfusionCounts.from_labels(labels, preds)
+    pos, neg = cc.tp + cc.fn, cc.tn + cc.fp
+    auc = _safe_div(2 * cc.tp * cc.tn + cc.tp * cc.fp + cc.tn * cc.fn, 2 * pos * neg)
+    fpr = _safe_div(cc.fp, neg)
+    mcc_den = math.sqrt(float(cc.tp + cc.fp) * float(pos) * float(neg) * float(cc.tn + cc.fn))
     mcc = _safe_div(cc.tp * cc.tn - cc.fp * cc.fn, mcc_den)
     return auc, fpr, mcc
 

@@ -13,7 +13,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -27,7 +27,7 @@ from .errors import ConfigurationError, DataError, PipelineStageError
 from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_prediction
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
-from .prompting import METHOD_IDS, ROLES, build_method_prompt
+from .prompting import METHOD_IDS, REQUIRED_INPUTS, ROLES, build_method_prompt
 
 
 @dataclass
@@ -85,7 +85,7 @@ class RunConfig:
         self.subset_caps()
 
     def check_ranges(self) -> None:
-        """Reject a numeric field out of range, matching parameters included."""
+        """Reject a numeric field out of range, for the method's inputs and matching too."""
         if self.max_in_flight < 1:
             raise ConfigurationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.diff_context < 0:
@@ -95,6 +95,12 @@ class RunConfig:
                 f"depth and max_lines must be >= 0, got {self.depth} and {self.max_lines}")
         if self.exemplar_count < 0:
             raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
+        needs = REQUIRED_INPUTS.get(self.method, ())
+        if "exemplars" in needs and self.exemplar_count < 1:
+            raise ConfigurationError(
+                f"{self.method} needs exemplar_count >= 1, got {self.exemplar_count}")
+        if "local_context" in needs and self.max_lines < 1:
+            raise ConfigurationError(f"{self.method} needs max_lines >= 1, got {self.max_lines}")
         self.match_params()
 
     def match_params(self) -> MatchParams:
@@ -189,12 +195,11 @@ def write_manifest(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def make_client(config: RunConfig, transport=None, sleep=time.sleep, script=None):
+def make_client(config: RunConfig, transport=None):
     if config.stub:
-        return ScriptedChatClient(script)
+        return ScriptedChatClient()
     return HttpChatClient(base_url=config.base_url or None,
-                          max_in_flight=config.max_in_flight,
-                          transport=transport, sleep=sleep)
+                          max_in_flight=config.max_in_flight, transport=transport)
 
 
 def load_sets(config: RunConfig):
@@ -263,7 +268,7 @@ class PredictionRow:
 
 
 def predict_with_method(records, config: RunConfig, client, exemplars) -> list[PredictionRow]:
-    need_context = config.method == "M6"
+    need_context = "local_context" in REQUIRED_INPUTS[config.method]
 
     def one(record) -> PredictionRow:
         cs, ctx = record_materials(record, config, need_context)
@@ -279,14 +284,13 @@ def predict_with_method(records, config: RunConfig, client, exemplars) -> list[P
 
 
 def predict_with_debate(records, config: RunConfig, client,
-                        transcripts_dir: Path | None) -> list[PredictionRow]:
+                        transcripts_dir: Path) -> list[PredictionRow]:
     cfg = config.debate_config()
 
     def one(record) -> PredictionRow:
         cs, ctx = record_materials(record, config, need_context=True)
         transcript = run_debate(record, cs, ctx, cfg, client)
-        if transcripts_dir is not None:
-            save_transcript(transcript, transcripts_dir)
+        save_transcript(transcript, transcripts_dir)
         verdict = transcript.verdict
         return PredictionRow(record.record_id, record.subset, record.old_file.label,
                              record.new_file.label, verdict.label, verdict.confidence,
@@ -451,7 +455,7 @@ def run(config: RunConfig, client=None):
                 client = make_client(config)
             if selector == "method":
                 exemplars = None
-                if config.method == "M7":
+                if "exemplars" in REQUIRED_INPUTS[config.method]:
                     exemplars = pick_exemplars(old_set, config.exemplar_count, config.seed)
                 rows = predict_with_method(sampled, config, client, exemplars)
             else:
@@ -476,11 +480,3 @@ def run(config: RunConfig, client=None):
         artifacts["manifest"] = out_dir / "manifest.txt"
 
     return report, artifacts
-
-
-def rerun_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = None,
-                        client=None):
-    config = load_config(manifest_path)
-    if out_dir is not None:
-        config = replace(config, out_dir=str(out_dir))
-    return run(config, client=client)

@@ -459,6 +459,14 @@ class TestExtractContext:
         assert "import java.util.ArrayList;" in bundle.snippet
         assert bundle.included_methods == ()
 
+    def test_deletion_only_change_seeds_its_enclosing_method(self):
+        src = java_chain([(0, 1), (1, 2)], 3, filler=2)
+        new = src.replace("        // filler 1 0\n", "")
+        cs = diff(src, new)
+        assert cs.added == () and cs.removed == ((11, "        // filler 1 0"),)
+        bundle = extract_context(cs, new, depth=0, max_lines=400)
+        assert bundle.included_methods == ("m1",)
+
     def test_determinism(self):
         src = java_chain([(0, 2), (1, 2), (2, 3), (3, 0)], 4)
         cs, new_src = change_in_method(src, "m2")

@@ -226,6 +226,18 @@ def test_changed_new_lines_match_added():
     assert cs.changed_new_lines == tuple(sorted(n for n, _ in cs.added))
 
 
+@pytest.mark.parametrize("old, new, lines", [
+    ("a\nb\nc\n", "b\nc\n", (1,)),                 # at the start: the line after
+    ("a\nb\nc\n", "a\nc\n", (1, 2)),               # inside: the lines on both sides
+    ("a\nb\nc\n", "a\nb\n", (2,)),                 # at the end: the line before
+    ("a\nb\n", "", ()),                              # nothing is left to anchor on
+    ("a\nb\nc\nd\ne\n", "a\nc\ne\n", (1, 2, 3)),  # shared anchors appear once
+    ("a\nb\nc\nd\n", "a\nc\nD\n", (1, 2, 3)),       # with the added line 3
+])
+def test_pure_deletions_anchor_on_the_new_lines_around_them(old, new, lines):
+    assert diff(old, new).changed_new_lines == lines
+
+
 def test_no_trailing_newline_marker():
     cs = diff("a\nend", "a\nend\n")
     assert "\\ No newline at end of file" in cs.unified

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -146,9 +147,6 @@ def as_hex(values):
 
 binary_pairs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1,
                         max_size=80)
-# few distinct scores, so most ranks are shared; 0.5 sits on the binarizing cut
-tied_scores = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
-                       min_size=1, max_size=80)
 
 
 class TestNumpyReferences:
@@ -159,12 +157,12 @@ class TestNumpyReferences:
         assert as_hex(macro_prf(labels, preds)) == as_hex(reference_macro_prf(labels, preds))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(binary_pairs, tied_scores))
+    @given(binary_pairs)
     def test_auc_fpr_mcc_equals_numpy(self, pairs):
-        labels, scores = [l for l, _ in pairs], [s for _, s in pairs]
-        got = auc_fpr_mcc(labels, scores)
+        labels, preds = [l for l, _ in pairs], [p for _, p in pairs]
+        got = auc_fpr_mcc(labels, preds)
         assert all(type(v) is float for v in got)
-        assert as_hex(got) == as_hex(reference_auc_fpr_mcc(labels, scores))
+        assert as_hex(got) == as_hex(reference_auc_fpr_mcc(labels, preds))
 
 
 def test_confusion_counts_reject_unequal_lengths():
@@ -173,6 +171,51 @@ def test_confusion_counts_reject_unequal_lengths():
     with pytest.raises(ValueError):
         ConfusionCounts.from_labels([1], [1, 1])
     assert ConfusionCounts.from_labels([], []) == ConfusionCounts(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("labels, preds", [([1, 2], [1, 1]), ([1, 0], [1, 0.5]),
+                                           ([0, 1], [None, 1]), ([-1, 1], [0, 1])])
+def test_labels_and_predictions_outside_0_1_rejected(labels, preds):
+    # from_labels used to drop such pairs: ([1, 2], [1, 1]) counted one pair
+    for score in (ConfusionCounts.from_labels, macro_prf, auc_fpr_mcc):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            score(labels, preds)
+
+
+def rank_sum_reference_on_counts(tp, fp, tn, fn):
+    """reference_auc_fpr_mcc over the vectors of each confusion matrix, as float64 arrays.
+
+    Predictions 0 and 1 form two ties, which mergesort ranks take as 0-based
+    runs [0, n0) and [n0, n0 + n1), each at its average 1-based rank.
+    """
+    n0, n1 = (tn + fn).astype(np.float64), (tp + fp).astype(np.float64)
+    rank0 = (0 + (n0 - 1)) / 2.0 + 1.0
+    rank1 = (n0 + (n0 + n1 - 1)) / 2.0 + 1.0
+    pos, neg = tp + fn, tn + fp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        auc = (fn * rank0 + tp * rank1 - pos * (pos + 1) / 2.0) / (pos * neg)
+        fpr = fp / (fp + tn)
+        den = np.sqrt((tp + fp).astype(np.float64) * (tp + fn).astype(np.float64)
+                      * (tn + fp).astype(np.float64) * (tn + fn).astype(np.float64))
+        mcc = (tp * tn - fp * fn) / den
+    return (np.where(pos * neg > 0, auc, 0.0), np.where(fp + tn > 0, fpr, 0.0),
+            np.where(den > 0, mcc, 0.0))
+
+
+def vectors_with_counts(tp, fp, tn, fn):
+    """0/1 labels and predictions whose confusion matrix is (tp, fp, tn, fn)."""
+    return [1] * tp + [0] * fp + [0] * tn + [1] * fn, [1] * (tp + fp) + [0] * (tn + fn)
+
+
+def test_auc_fpr_mcc_equals_rank_sum_on_every_small_confusion_matrix():
+    grid = [m for m in itertools.product(range(23), repeat=4) if any(m)]
+    assert len(grid) == 279_840
+    want = rank_sum_reference_on_counts(*np.array(grid, dtype=np.int64).T)
+    for k in range(0, len(grid), 4099):  # spot checks: the closed form is the reference
+        assert as_hex(reference_auc_fpr_mcc(*vectors_with_counts(*grid[k]))) == \
+            as_hex(w[k] for w in want)
+    for counts, *expected in zip(grid, *(w.tolist() for w in want)):
+        assert as_hex(auc_fpr_mcc(*vectors_with_counts(*counts))) == as_hex(expected), counts
 
 
 def row(record_id, subset, new_label, pred_label, old_label=None):
@@ -227,7 +270,7 @@ class TestMacroPRF:
 
 class TestAucFprMcc:
     def test_perfect_separation(self):
-        auc, _, _ = auc_fpr_mcc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
+        auc, _, _ = auc_fpr_mcc([0, 0, 1, 1], [0, 0, 1, 1])
         assert auc == 1.0
 
     def test_binary_auc_equals_balanced_accuracy(self):
@@ -248,10 +291,9 @@ class TestAucFprMcc:
         for _ in range(300):
             n = rng.randrange(1, 14)
             labels = [rng.randint(0, 1) for _ in range(n)]
-            scores = [rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in range(n)]
-            auc, fpr, mcc = auc_fpr_mcc(labels, scores)
-            assert auc == pytest.approx(oracle_auc(labels, scores), abs=1e-12)
-            preds = [1 if s > 0.5 else 0 for s in scores]
+            preds = [rng.randint(0, 1) for _ in range(n)]
+            auc, fpr, mcc = auc_fpr_mcc(labels, preds)
+            assert auc == pytest.approx(oracle_auc(labels, preds), abs=1e-12)
             want_fpr, want_mcc = oracle_fpr_mcc(labels, preds)
             assert fpr == pytest.approx(want_fpr, abs=1e-12)
             assert mcc == pytest.approx(want_mcc, abs=1e-12)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -12,9 +13,13 @@ from hypothesis import strategies as st
 
 from driftlens import pipeline
 from driftlens.cli import build_parser, main as cli_main
+from driftlens.context import extract_context
 from driftlens.corpus import VersionedFile, VersionSet, write_version
+from driftlens.debate import DebateConfig
+from driftlens.diffing import diff
 from driftlens.errors import ConfigurationError, PipelineStageError
 from driftlens.llm import HttpChatClient, ScriptedChatClient
+from driftlens.matching import MatchParams
 from driftlens.metrics import render_text
 from driftlens.pipeline import PredictionRow, RunConfig, config_from_lines, config_lines
 
@@ -160,9 +165,23 @@ class TestMethodRun:
         config = base_config(corpus, tmp_path, method="M5")
         _, artifacts = pipeline.run(config)
         first = artifacts["predictions"].read_bytes()
-        _, artifacts2 = pipeline.rerun_from_manifest(artifacts["manifest"],
-                                                     out_dir=tmp_path / "out2")
-        assert artifacts2["predictions"].read_bytes() == first
+        assert cli_main(["run", "--config", str(artifacts["manifest"]),
+                         "--out-dir", str(tmp_path / "out2")]) == 0
+        assert (tmp_path / "out2" / "predictions.csv").read_bytes() == first
+
+    def test_m6_over_a_deletion_only_change_writes_predictions(self, tmp_path):
+        # the change adds no line, so [Local Context] is built around the deleted one
+        old = java_file("pkg/Del.java", "int b = a;\n        return b;", 0, "v1")
+        new = java_file("pkg/Del.java", "return b;", 1, "v2")
+        old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
+        write_version(VersionSet("v1", "demo", (old,)), old_csv)
+        write_version(VersionSet("v2", "demo", (new,)), new_csv)
+        config = RunConfig(old_csv=str(old_csv), new_csv=str(new_csv), method="M6", stub=True,
+                           out_dir=str(tmp_path / "out"))
+        report, artifacts = pipeline.run(config)
+        assert report.counts["D01"] == 1
+        with open(artifacts["predictions"], newline="") as fh:
+            assert [row["record_id"] for row in csv.DictReader(fh)] == ["pkg/Del.java"]
 
     def test_stub_mode_zero_network(self, corpus, tmp_path):
         calls = []
@@ -495,6 +514,20 @@ class TestCli:
                         and action.default is not argparse.SUPPRESS):
                     assert action.default == getattr(defaults, action.dest), (command, action.dest)
 
+    def test_run_config_defaults_match_layer_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        config, match, debate = RunConfig(), MatchParams(), DebateConfig()
+        assert (config.threshold, config.gap_multiplier) == (match.threshold,
+                                                             match.gap_multiplier)
+        assert (config.rounds, config.depth, config.max_lines) == (debate.rounds, debate.depth,
+                                                                   debate.max_lines)
+        assert config.diff_context == default(diff, "context_lines")
+        assert (config.depth, config.max_lines) == (default(extract_context, "depth"),
+                                                    default(extract_context, "max_lines"))
+        assert config.max_in_flight == default(HttpChatClient, "max_in_flight")
+
     def test_cli_error_path(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
         inputs = ["--old", str(old_csv), "--new", str(new_csv)]
@@ -528,10 +561,16 @@ class TestCli:
         no_exemplars = tmp_path / "no_exemplars.conf"
         no_exemplars.write_text(f"old_csv = {old_csv}\nnew_csv = {new_csv}\nmethod = M7\n"
                                 "stub = true\nexemplar_count = -1\n", encoding="utf-8")
+        zero_exemplars = tmp_path / "zero_exemplars.conf"
+        zero_exemplars.write_text(no_exemplars.read_text().replace("= -1", "= 0"),
+                                  encoding="utf-8")
         m5 = ["predict", *inputs, "--stub", "--method", "M5"]
         for k, argv in enumerate(([*m5, "--diff-context", "-1"], [*m5, "-T", "2"],
                                   ["debate", *inputs, "--stub", "--rounds", "0"],
-                                  ["run", "--config", str(no_exemplars)])):
+                                  ["run", "--config", str(no_exemplars)],
+                                  ["run", "--config", str(zero_exemplars)],
+                                  ["predict", *inputs, "--stub", "--method", "M6",
+                                   "--max-lines", "0"])):
             out_dir = tmp_path / f"rejected{k}"
             assert cli_main([*argv, "--out-dir", str(out_dir)]) == 2, argv
             assert "error:" in capsys.readouterr().err
