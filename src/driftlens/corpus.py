@@ -4,13 +4,17 @@ Each snapshot is a CSV with one row per source file carrying a path, a raw
 bug count, and the full file contents. Loading normalizes nothing beyond
 CSV unescaping and UTF-8 decoding; line-level views are produced lazily by
 consumers via normalize_lines.
+
+Snapshots are read by _csv_rows, which yields the rows csv.reader yields for
+the default dialect with one regex match per field, reading _BLOCK
+characters at a time. Snapshots are written with csv.writer.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +24,49 @@ PATH_COLUMNS = ("name", "File")
 LABEL_COLUMNS = ("bug", "Bug")
 SOURCE_COLUMNS = ("src", "SRC")
 
-# PROMISE sources routinely exceed the default csv field cap.
-csv.field_size_limit(min(sys.maxsize, 2**31 - 1))
+# Characters per read; a row longer than a block is read with larger reads.
+_BLOCK = 1 << 16
+# One field and the separator after it. A quoted field is group 1 with each
+# "" made ", plus group 2, the text after its closing quote, which csv.reader
+# keeps as it is; an unquoted field is group 3. An unclosed quote runs to the
+# end of the text, as in csv.reader.
+_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*))?|([^,\r\n]*))(,|\r\n|\n|\r|\Z)')
+
+
+def _csv_rows(fh):
+    """Yield the rows csv.reader(fh) yields for a text file opened with newline="".
+
+    A row cut by the end of a block, or by a block that ends in a carriage
+    return (which may start a CRLF), is parsed again with the next block
+    appended. That read is at least as long as the text carried over, so a
+    field spanning many blocks is still read in linear time.
+    """
+    match = _FIELD.match
+    buf = ""
+    while True:
+        chunk = fh.read(max(_BLOCK, len(buf)))
+        final = not chunk
+        buf += chunk
+        end = len(buf)
+        start = pos = 0  # where the current row and its next field begin
+        row = []
+        while row or pos < end:
+            m = match(buf, pos)
+            quoted, tail, plain, sep = m.groups()
+            pos = m.end()
+            if pos == end and not final and sep in ("", "\r"):
+                break
+            if sep != "," and not row and plain == "":
+                yield row  # a line with no fields
+            else:
+                row.append(plain if quoted is None else quoted.replace('""', '"') + (tail or ""))
+                if sep == ",":
+                    continue
+                yield row
+            start, row = pos, []
+        if final:
+            return
+        buf = buf[start:]
 
 
 @dataclass(frozen=True)
@@ -119,7 +164,7 @@ def load_version(csv_path: str | Path, label_column: str | None = None,
     vid = version_id if version_id is not None else csv_path.stem
 
     with open(csv_path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

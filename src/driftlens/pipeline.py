@@ -20,7 +20,7 @@ from typing import get_type_hints
 from . import __version__
 from .baselines import BASELINE_KINDS, predict_naive
 from .context import extract_context
-from .corpus import load_version, normalize_lines
+from .corpus import _csv_rows, load_version, normalize_lines
 from .debate import DebateConfig, run_debate, save_transcript
 from .diffing import diff
 from .errors import ConfigurationError, DataError, PipelineStageError
@@ -99,8 +99,11 @@ class RunConfig:
         if "exemplars" in needs and self.exemplar_count < 1:
             raise ConfigurationError(
                 f"{self.method} needs exemplar_count >= 1, got {self.exemplar_count}")
-        if "local_context" in needs and self.max_lines < 1:
-            raise ConfigurationError(f"{self.method} needs max_lines >= 1, got {self.max_lines}")
+        # every debate role reads the expanded context, as does the analyzer prompt alone
+        if self.max_lines < 1 and ("local_context" in needs or self.debate
+                                   or self.method == "analyzer"):
+            who = "the debate" if self.debate else self.method
+            raise ConfigurationError(f"{who} needs max_lines >= 1, got {self.max_lines}")
         self.match_params()
 
     def match_params(self) -> MatchParams:
@@ -375,7 +378,9 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
 
     Raises ConfigurationError for an unreadable file or a missing column and
     DataError for a malformed row, a label other than 0/1, a repeated
-    record_id, or rows of more than one method.
+    record_id, or rows of more than one method. The line named in a message
+    counts records, the header being line 1; for a file that
+    write_predictions_csv wrote, that is the line the record is on.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -384,13 +389,13 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
     rows: list[PredictionRow] = []
     seen: set[str] = set()
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, [])
         missing = [name for name in PREDICTION_COLUMNS if name not in header]
         if missing:
             raise ConfigurationError(f"{path} lacks column(s) {', '.join(missing)}")
-        for cells in reader:
-            where = f"{path} line {reader.line_num}"
+        for line, cells in enumerate(reader, start=2):
+            where = f"{path} line {line}"
             if len(cells) != len(header):
                 raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
             cell = dict(zip(header, cells))

@@ -1,17 +1,28 @@
 import csv
+import dataclasses
+import importlib
+import io
+import itertools
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlens import corpus
 from driftlens.corpus import (
     VersionedFile,
     VersionSet,
+    _csv_rows,
     load_version,
     normalize_lines,
     write_version,
 )
 from driftlens.errors import ConfigurationError, DataError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def write_csv(path, header, rows):
@@ -133,3 +144,142 @@ def test_version_set_lookup(tmp_path):
     assert "a.java" not in vset  # paths are case-sensitive
     assert vset.get("b.java").label == 1
     assert vset.defective_fraction() == pytest.approx(0.5)
+
+
+# --- _csv_rows against csv.reader ---------------------------------------------------
+
+
+@contextmanager
+def _csv_field_limit(limit):
+    previous = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
+def reference_load_version(csv_path, version_id="v"):
+    """load_version as it read snapshots through csv.reader, as (path, source, label)."""
+    with open(csv_path, newline="", encoding="utf-8", errors="replace") as fh, \
+            _csv_field_limit(2**31 - 1):
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{csv_path} is empty") from None
+        path_col = corpus._pick_column(header, None, corpus.PATH_COLUMNS, "path")
+        label_col = corpus._pick_column(header, None, corpus.LABEL_COLUMNS, "label")
+        source_col = corpus._pick_column(header, None, corpus.SOURCE_COLUMNS, "source")
+        idx = {name: header.index(name) for name in (path_col, label_col, source_col)}
+        files = []
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise DataError(f"row {row_number} has {len(row)} fields, expected {len(header)}")
+            files.append(VersionedFile(
+                path=row[idx[path_col]],
+                source=row[idx[source_col]],
+                label=corpus._parse_label(row[idx[label_col]], row_number),
+                version_id=version_id,
+            ))
+    vset = VersionSet(version_id=version_id, dataset_name="", files=tuple(files))
+    return [(f.path, f.source, f.label) for f in vset.files]
+
+
+def loaded(csv_path):
+    return [(f.path, f.source, f.label) for f in load_version(csv_path, version_id="v").files]
+
+
+def outcome(load, csv_path):
+    """What a loader returns, or the type and message of what it raises."""
+    try:
+        return load(csv_path)
+    except (ConfigurationError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+def rows_of(text):
+    return list(_csv_rows(io.StringIO(text, newline="")))
+
+
+def reader_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_csv_rows_equal_csv_reader_on_every_short_string(monkeypatch, block):
+    monkeypatch.setattr(corpus, "_BLOCK", block)
+    for size in range(7):
+        for chars in itertools.product('a,"\r\n', repeat=size):
+            text = "".join(chars)
+            assert rows_of(text) == reader_rows(text), (block, text)
+
+
+# csv.reader rejects NUL before Python 3.11; _csv_rows accepts it everywhere
+_TOKENS = ["a", "0", "1", ",", '"', "\r", "\n", " ", "\u00e9", "\u20ac", "\U0001f600"]
+_TOKENS = [t.encode() for t in _TOKENS] + [b"\xff", b"\xe2\x82", b"\xc3", b"A,0,", b",1,\""]
+if sys.version_info >= (3, 11):
+    _TOKENS.append(b"\x00")
+
+
+@given(st.lists(st.sampled_from(_TOKENS), max_size=60), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_load_version_equals_csv_reader_loader(tmp_path_factory, tokens, block):
+    path = tmp_path_factory.mktemp("oracle") / "v.csv"
+    path.write_bytes(b"name,bug,src\r\n" + b"".join(tokens))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_BLOCK", block)
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+            rows = list(_csv_rows(fh))
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+            assert rows == list(csv.reader(fh))
+        assert outcome(loaded, path) == outcome(reference_load_version, path)
+
+
+class _CountedReads(io.StringIO):
+    def __init__(self, text):
+        super().__init__(text, newline="")
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("text", ["a\r\nb\r\n", "a,b\r\n\r\nc", '"a\r\n"\r\nb'])
+def test_crlf_split_across_a_block_edge_is_one_line_end(monkeypatch, text):
+    monkeypatch.setattr(corpus, "_BLOCK", text.index("\r") + 1)
+    assert rows_of(text) == reader_rows(text)
+
+
+def test_quoted_field_over_many_blocks_reads_in_linear_time(monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK", 4)
+    source = 'say ""hi"",\r\n' * 500
+    text = f'name,bug,src\nA.java,0,"{source}"\nB.java,1,b\n'
+    fh = _CountedReads(text)
+    assert list(_csv_rows(fh)) == reader_rows(text)
+    assert reader_rows(text)[1][2] == source.replace('""', '"')
+    # each read at least doubles the text carried over, so the long row costs
+    # logarithmically many reads and linearly many characters
+    assert len(fh.sizes) <= (len(text) // 4).bit_length() + 4
+    assert sum(fh.sizes) <= 2 * len(text)
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_unclosed_quote_runs_to_end_of_file(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(corpus, "_BLOCK", block)
+    p = tmp_path / "v.csv"
+    p.write_text('name,bug,src\nA.java,0,"never\r\nclosed, "" still', encoding="utf-8")
+    assert loaded(p) == reference_load_version(p) == [("A.java", 'never\r\nclosed, " still', 0)]
+
+
+def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        params = dataclasses.replace(workload.corpus, files=min(workload.corpus.files, 150))
+        paths = synth.write_pair(params, 3, tmp_path / name)
+        for side in ("old", "new"):
+            assert loaded(paths[side]) == reference_load_version(paths[side]), (name, side)

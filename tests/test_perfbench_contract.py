@@ -5,7 +5,7 @@ and reads module constants, so renaming one of them breaks the benchmark;
 these tests make such a rename fail the test suite instead. A wrapped
 function that is called a different number of times, or with other
 arguments, silently changes what a per-layer metric counts, so the Dice
-span is checked on a real run too.
+and load spans are checked on a real run too.
 """
 
 import dataclasses
@@ -52,3 +52,26 @@ def test_dice_span_opens_once_per_pending_file(tmp_path, monkeypatch):
     assert counts["pending"] > 10 and counts["candidates"] > 10
     assert len(dice_spans) == counts["pending"]
     assert counts["dice_pairs"] == counts["pending"] * counts["candidates"]
+
+
+def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
+    """corpus.load_s, files and mbytes stay measures of loading the two snapshots."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["churn-m5"]
+    paths = synth.write_pair(dataclasses.replace(workload.corpus, files=8), 3, tmp_path)
+    config = pipeline.RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"]),
+                                out_dir=str(tmp_path / "out"), **workload.config)
+    files = sum(len(pipeline.load_version(paths[side])) for side in ("old", "new"))
+    tracer, counts = worker.Tracer(), Counter()
+    try:
+        worker.install_spans(tracer, counts, [])
+        pipeline.run(config)
+    finally:
+        tracer.restore()
+    load_spans = [span for span in tracer.spans if span.name == "corpus.load_version"]
+    assert len(load_spans) == 2
+    assert counts["files"] == files
+    assert counts["bytes"] == sum(Path(paths[side]).stat().st_size for side in ("old", "new"))

@@ -570,8 +570,12 @@ class TestCli:
                                   ["run", "--config", str(no_exemplars)],
                                   ["run", "--config", str(zero_exemplars)],
                                   ["predict", *inputs, "--stub", "--method", "M6",
-                                   "--max-lines", "0"])):
+                                   "--max-lines", "0"],
+                                  ["debate", *inputs, "--stub", "--max-lines", "0"],
+                                  ["prompt", *inputs, "--record", "pkg/B10.java",
+                                   "--method", "analyzer", "--max-lines", "0"])):
             out_dir = tmp_path / f"rejected{k}"
-            assert cli_main([*argv, "--out-dir", str(out_dir)]) == 2, argv
+            assert cli_main(argv if argv[0] == "prompt"
+                            else [*argv, "--out-dir", str(out_dir)]) == 2, argv
             assert "error:" in capsys.readouterr().err
             assert not (out_dir / "matches.csv").exists(), argv
