@@ -73,8 +73,9 @@ def _partitioned(args):
     config = pipeline.RunConfig(**_given(args))
     config.check_ranges()  # before loading, so bad values fail fast
     old_set, new_set = pipeline.load_sets(config)
-    matches = match_files(old_set, new_set, config.match_params())
-    records, stats = partition(old_set, new_set, matches)
+    scores: dict[str, float] = {}
+    matches = match_files(old_set, new_set, config.match_params(), scores=scores)
+    records, stats = partition(old_set, new_set, matches, scores=scores)
     return config, old_set, records, stats
 
 

@@ -216,26 +216,6 @@ def _scan_hunks(unified: str):
         yield old_start, old_count, new_start, new_count, body
 
 
-def parse_unified(unified: str) -> tuple[tuple[tuple[int, str], ...], tuple[tuple[int, str], ...]]:
-    """Recover (added, removed) line lists from a unified diff text."""
-    added = []
-    removed = []
-    for old_start, old_count, new_start, new_count, body in _scan_hunks(unified):
-        old_ln = old_start if old_count else old_start + 1
-        new_ln = new_start if new_count else new_start + 1
-        for tag, text, _ in body:
-            if tag == " ":
-                old_ln += 1
-                new_ln += 1
-            elif tag == "-":
-                removed.append((old_ln, text))
-                old_ln += 1
-            else:
-                added.append((new_ln, text))
-                new_ln += 1
-    return tuple(added), tuple(removed)
-
-
 def apply_unified(old_source: str, unified: str) -> str:
     """Apply a unified diff produced by diff() to the old text."""
     if not unified:

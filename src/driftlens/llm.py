@@ -14,7 +14,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, TransportError
 
@@ -78,7 +78,6 @@ class CallStats:
     total_latency: float = 0.0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    log: list = field(default_factory=list)
 
 
 def _requests_transport(url, headers, payload, timeout):
@@ -163,7 +162,7 @@ class HttpChatClient:
                     raise ConfigurationError(f"authentication failed (HTTP {status})")
                 if status == 200:
                     content = _reply_content(body)
-                    self._record(req, attempt + 1, elapsed, body)
+                    self._record(attempt + 1, elapsed, body)
                     return content
                 last_status = status
                 if status not in self.RETRYABLE:
@@ -174,7 +173,7 @@ class HttpChatClient:
             f"retries exhausted after {self.retry_policy.max_attempts} attempts "
             f"(last status {last_status})", last_status)
 
-    def _record(self, req, attempts, elapsed, body):
+    def _record(self, attempts, elapsed, body):
         with self._lock:
             self.stats.calls += 1
             self.stats.attempts += attempts
@@ -184,7 +183,6 @@ class HttpChatClient:
                 usage = {}
             self.stats.prompt_tokens += _token_count(usage.get("prompt_tokens"))
             self.stats.completion_tokens += _token_count(usage.get("completion_tokens"))
-            self.stats.log.append((req.tag, req.record_id, attempts, round(elapsed, 4)))
 
 
 DEFAULT_SCRIPTS = {
@@ -217,7 +215,6 @@ class ScriptedChatClient:
         with self._lock:
             self.stats.calls += 1
             self.stats.attempts += 1
-            self.stats.log.append((req.tag, req.record_id, 1, 0.0))
             for key in ((req.tag, req.record_id), (req.tag, None)):
                 if key in self.script:
                     value = self.script[key]

@@ -2,14 +2,16 @@
 
 New-version files are matched to predecessors by exact path first; the
 remainder is matched by Dice similarity over distinct normalized lines with
-a separation test on the sorted score gaps: the best candidate is accepted
-when its score s1 >= T and the top gap is at least the mean gap plus c times
-the population standard deviation of the gaps, decided exactly over the
-scores (see MatchParams). Lines are compared by their
-exact text, the relation dice_similarity uses: the candidates' line sets are
-indexed by line text once per run, and each query is scored against that
-index (see kernels). Matched corpora are then partitioned into
-removed/added/same-source files and the four status-transition subsets.
+a separation test on the score gaps: the best candidate is accepted when its
+score s1 >= T and the top gap is at least the mean gap plus c times the
+population standard deviation of the gaps, decided exactly over a query's
+distinct scores (see MatchParams). Lines are compared by their exact text,
+the relation dice_similarity uses: the candidates' line sets are indexed by
+line text once per run, and each query is scored against that index (see
+kernels). The first candidate with the best score is the accepted one, so
+ties resolve by path order. Matched corpora are then partitioned into
+removed/added/same-source files and the four status-transition subsets;
+match_files can hand partition the score it kept for each similarity match.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def dice_similarity(old: VersionedFile, new: VersionedFile) -> float:
 
 
 def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
-    """The MatchParams acceptance rule on descending scores.
+    """The MatchParams acceptance rule on one query's scores, in any order.
 
     With a single candidate only the threshold applies. The gap test is
     decided exactly: every score in [0, 1] is a whole multiple of the ulp of
@@ -124,30 +126,40 @@ def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
     and (q·L)² >= p²·(m·Σg² - A²). A nonzero score below 2^-969 would
     overflow the scaled float, but it needs a file of about 2^969 lines, so
     it has no code path.
+
+    Only the distinct scores are scaled. Equal neighbours of the descending
+    scores leave a zero gap, which adds nothing to A or Σg², so the sums
+    over the distinct scores are the sums over all of them; m still counts
+    every gap, and g1 is zero when s1 is tied.
     """
-    s1 = scores[0]
+    s1 = max(scores)
     if s1 < params.threshold:
         return False
     if len(scores) == 1:
         return True
-    unit = math.ulp(min(filter(None, scores), default=1.0))
-    ints = [int(s / unit) for s in scores]
+    distinct = sorted(set(scores), reverse=True)
+    unit = math.ulp(min(filter(None, distinct), default=1.0))
+    ints = [int(s / unit) for s in distinct]
     gaps = [a - b for a, b in zip(ints, ints[1:])]
-    m = len(gaps)
+    m = len(scores) - 1
     total = ints[0] - ints[-1]
-    lead = m * gaps[0] - total
+    top = gaps[0] if scores.count(s1) == 1 else 0  # s1 is unique, so a second value exists
+    lead = m * top - total
     p, q = params.gap_multiplier.as_integer_ratio()
     return lead >= 0 and (q * lead) ** 2 >= p * p * (m * sum(g * g for g in gaps) - total * total)
 
 
 def match_files(old_set: VersionSet, new_set: VersionSet,
-                params: MatchParams = MatchParams()) -> dict[str, str | None]:
+                params: MatchParams = MatchParams(),
+                scores: dict[str, float] | None = None) -> dict[str, str | None]:
     """Map every new path to its matched old path (or None).
 
     Exact-path matches win outright. Remaining new files score against old
-    files that were not path-matched; a candidate is accepted when it passes
-    the threshold and gap test, and accepted candidates are made one-to-one
-    greedily in descending similarity order.
+    files that were not path-matched; a query's first best-scoring candidate
+    is accepted when it passes the threshold and gap test, and accepted
+    candidates are made one-to-one greedily in descending similarity order.
+    When scores is given, it receives each similarity match's Dice score by
+    new path, the value dice_similarity returns for that pair.
     """
     matches: dict[str, str | None] = {}
     for f in new_set.files:
@@ -163,12 +175,10 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
 
     accepted: list[tuple[float, str, str]] = []
     for f in sorted(pending, key=lambda f: f.path):
-        scores = kernels.dice_batch(similarity_lines(f.source), index, offsets)
-        # a stable sort, so ties resolve by path order
-        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-        ranked = [scores[t] for t in order]
-        if _gap_test_accept(ranked, params):
-            accepted.append((ranked[0], f.path, candidates[order[0]].path))
+        row = kernels.dice_batch(similarity_lines(f.source), index, offsets)
+        if _gap_test_accept(row, params):
+            best = max(row)
+            accepted.append((best, f.path, candidates[row.index(best)].path))
 
     taken: set[str] = set()
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
@@ -176,6 +186,8 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
             continue  # best predecessor already claimed by a closer file
         taken.add(old_path)
         matches[new_path] = old_path
+        if scores is not None:
+            scores[new_path] = score
     return matches
 
 
@@ -185,9 +197,14 @@ def _subset_for(old: VersionedFile, new: VersionedFile) -> str:
     return {(0, 0): "B00", (1, 0): "B10", (0, 1): "D01", (1, 1): "D11"}[(old.label, new.label)]
 
 
-def partition(old_set: VersionSet, new_set: VersionSet,
-              matches: dict[str, str | None]) -> tuple[list[EvolutionRecord], PartitionStats]:
-    """Turn a match map into evolution records plus partition statistics."""
+def partition(old_set: VersionSet, new_set: VersionSet, matches: dict[str, str | None],
+              scores: dict[str, float] | None = None,
+              ) -> tuple[list[EvolutionRecord], PartitionStats]:
+    """Turn a match map into evolution records plus partition statistics.
+
+    A similarity match's score is read from scores, as match_files filled
+    it, or computed with dice_similarity when scores is None.
+    """
     records = []
     matched_old: set[str] = set()
     for f in new_set.files:
@@ -198,7 +215,9 @@ def partition(old_set: VersionSet, new_set: VersionSet,
         old = old_set.get(old_path)
         matched_old.add(old_path)
         kind = "path" if old_path == f.path else "similarity"
-        score = dice_similarity(old, f) if kind == "similarity" else None
+        score = None
+        if kind == "similarity":
+            score = dice_similarity(old, f) if scores is None else scores[f.path]
         records.append(EvolutionRecord(f, old, kind, _subset_for(old, f), score))
 
     removed = len(old_set) - len(matched_old)

@@ -377,44 +377,51 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
     """The rows write_predictions_csv wrote for one run, in file order.
 
     Raises ConfigurationError for an unreadable file or a missing column and
-    DataError for a malformed row, a label other than 0/1, a repeated
-    record_id, or rows of more than one method. The line named in a message
-    counts records, the header being line 1; for a file that
-    write_predictions_csv wrote, that is the line the record is on.
+    DataError for text that is not UTF-8, a malformed row, a label other
+    than 0/1, a repeated record_id, or rows of more than one method. The
+    line named in a message counts records, the header being line 1; for a
+    file that write_predictions_csv wrote, that is the line the record is on.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read predictions {path}: {exc.strerror}") from exc
-    rows: list[PredictionRow] = []
-    seen: set[str] = set()
     with fh:
-        reader = _csv_rows(fh)
-        header = next(reader, [])
-        missing = [name for name in PREDICTION_COLUMNS if name not in header]
-        if missing:
-            raise ConfigurationError(f"{path} lacks column(s) {', '.join(missing)}")
-        for line, cells in enumerate(reader, start=2):
-            where = f"{path} line {line}"
-            if len(cells) != len(header):
-                raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
-            cell = dict(zip(header, cells))
-            try:
-                row = PredictionRow(
-                    cell["record_id"], cell["subset"], _optional(int, cell["old_label"]),
-                    int(cell["new_label"]), _optional(int, cell["pred_label"]),
-                    _optional(float, cell["confidence"]), cell["parse_path"], cell["method"])
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from exc
-            if {row.old_label, row.new_label, row.pred_label} - {None, 0, 1}:
-                raise DataError(f"{where}: labels must be 0 or 1")
-            if row.record_id in seen:
-                raise DataError(f"{where} repeats record_id {row.record_id!r}")
-            seen.add(row.record_id)
-            rows.append(row)
+        try:
+            rows = _prediction_rows(path, _csv_rows(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     methods = sorted({row.method for row in rows})
     if len(methods) > 1:
         raise DataError(f"{path} mixes the predictions of methods {methods}")
+    return rows
+
+
+def _prediction_rows(path: str | Path, reader) -> list[PredictionRow]:
+    rows: list[PredictionRow] = []
+    seen: set[str] = set()
+    header = next(reader, [])
+    missing = [name for name in PREDICTION_COLUMNS if name not in header]
+    if missing:
+        raise ConfigurationError(f"{path} lacks column(s) {', '.join(missing)}")
+    for line, cells in enumerate(reader, start=2):
+        where = f"{path} line {line}"
+        if len(cells) != len(header):
+            raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
+        cell = dict(zip(header, cells))
+        try:
+            row = PredictionRow(
+                cell["record_id"], cell["subset"], _optional(int, cell["old_label"]),
+                int(cell["new_label"]), _optional(int, cell["pred_label"]),
+                _optional(float, cell["confidence"]), cell["parse_path"], cell["method"])
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        if {row.old_label, row.new_label, row.pred_label} - {None, 0, 1}:
+            raise DataError(f"{where}: labels must be 0 or 1")
+        if row.record_id in seen:
+            raise DataError(f"{where} repeats record_id {row.record_id!r}")
+        seen.add(row.record_id)
+        rows.append(row)
     return rows
 
 
@@ -440,10 +447,11 @@ def run(config: RunConfig, client=None):
         old_set, new_set = load_sets(config)
 
     with _stage("match"):
-        matches = match_files(old_set, new_set, config.match_params())
+        scores: dict[str, float] = {}
+        matches = match_files(old_set, new_set, config.match_params(), scores=scores)
 
     with _stage("partition"):
-        records, stats = partition(old_set, new_set, matches)
+        records, stats = partition(old_set, new_set, matches, scores=scores)
         write_matches_csv(records, out_dir / "matches.csv")
         write_records_csv(records, out_dir / "records.csv")
         artifacts["matches"] = out_dir / "matches.csv"

@@ -11,9 +11,9 @@ from driftlens import kernels
 from driftlens.diffing import (
     ChangeSet,
     _opcodes,
+    _scan_hunks,
     apply_unified,
     diff,
-    parse_unified,
     render_difference_list,
     split_keepends,
 )
@@ -105,6 +105,27 @@ def test_round_trip_random_pairs(seed):
         context = rng.choice([0, 1, 3])
         cs = diff(old, new, context_lines=context)
         assert apply_unified(old, cs.unified) == new
+
+
+def parse_unified(unified):
+    # An oracle for rendering: the (added, removed) line lists read back
+    # from a unified diff text by the hunk scanner apply_unified uses.
+    added = []
+    removed = []
+    for old_start, old_count, new_start, new_count, body in _scan_hunks(unified):
+        old_ln = old_start if old_count else old_start + 1
+        new_ln = new_start if new_count else new_start + 1
+        for tag, text, _ in body:
+            if tag == " ":
+                old_ln += 1
+                new_ln += 1
+            elif tag == "-":
+                removed.append((old_ln, text))
+                old_ln += 1
+            else:
+                added.append((new_ln, text))
+                new_ln += 1
+    return tuple(added), tuple(removed)
 
 
 def test_unified_parses_back_to_same_multisets():

@@ -115,12 +115,25 @@ score_lists = st.one_of(
     st.lists(st.one_of(st.just(0.0), st.floats(2.0 ** -969, 1.0)), min_size=1, max_size=50))
 
 
+GAP_EXAMPLES = [
+    ([1.0, 2 / 7, 0.1], 0.7, 1),   # top gap equals mean + sigma; floats rounded it below
+    ([0.5], 0.3, 1),               # one candidate: the threshold alone
+    ([0.0, 0.0, 0.0], 0.0, 1),     # all gaps zero
+    ([1.0, 1.0], 0.7, 1),          # tied at the top, nothing below
+    ([1.0, 1.0, 0.25], 0.7, 1),    # tied at the top above a lower score
+]
+
+
+def gap_examples(*extra):
+    def decorate(test):
+        for args in GAP_EXAMPLES:
+            test = example(*args, *extra)(test)
+        return test
+    return decorate
+
+
 @given(score_lists, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]))
-@example([1.0, 2 / 7, 0.1], 0.7, 1)   # top gap equals mean + sigma; floats rounded it below
-@example([0.5], 0.3, 1)               # one candidate: the threshold alone
-@example([0.0, 0.0, 0.0], 0.0, 1)     # all gaps zero
-@example([1.0, 1.0], 0.7, 1)          # tied at the top, nothing below
-@example([1.0, 1.0, 0.25], 0.7, 1)    # tied at the top above a lower score
+@gap_examples()
 @settings(max_examples=500, deadline=None)
 def test_gap_test_equals_fraction_oracle(scores, threshold, gap_multiplier):
     ranked = sorted(scores, reverse=True)
@@ -128,16 +141,33 @@ def test_gap_test_equals_fraction_oracle(scores, threshold, gap_multiplier):
     assert _gap_test_accept(ranked, params) == fraction_gap_test_accept(ranked, params)
 
 
+@given(score_lists, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]),
+       st.randoms(use_true_random=False))
+@gap_examples(random.Random(0))
+@settings(max_examples=500, deadline=None)
+def test_gap_test_on_shuffled_scores_equals_fraction_oracle(scores, threshold, gap_multiplier,
+                                                             rng):
+    # match_files hands the gap test a query's scores in candidate order
+    ranked = sorted(scores, reverse=True)
+    params = MatchParams(threshold, gap_multiplier)
+    expected = fraction_gap_test_accept(ranked, params)
+    shuffled = list(scores)
+    rng.shuffle(shuffled)
+    assert _gap_test_accept(shuffled, params) == expected
+    assert _gap_test_accept(ranked[::-1], params) == expected  # a tied top comes last
+
+
 def reference_match_files(old_set, new_set, params=MatchParams()):
     # match_files before dense line ids: raw hashes per file, scored by a
     # searchsorted pass and ranked on numpy arrays, then decided by the
-    # rational gap test; the greedy pass is unchanged.
+    # rational gap test; the greedy pass is unchanged. Returns the matches
+    # and each accepted score.
     matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
     pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
     candidates = sorted((f for f in old_set.files if f.path not in new_set),
                         key=lambda f: f.path)
     if not pending or not candidates:
-        return matches
+        return matches, {}
     flat, offsets = reference_pack_line_sets(
         [reference_hashed_line_set(reference_similarity_lines(f.source)) for f in candidates])
     accepted = []
@@ -147,12 +177,13 @@ def reference_match_files(old_set, new_set, params=MatchParams()):
         order = np.argsort(-scores, kind="stable")
         if fraction_gap_test_accept(scores[order].tolist(), params):
             accepted.append((float(scores[order[0]]), f.path, candidates[order[0]].path))
-    taken = set()
-    for _, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
+    taken, kept = set(), {}
+    for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
         if old_path not in taken:
             taken.add(old_path)
             matches[new_path] = old_path
-    return matches
+            kept[new_path] = score
+    return matches, kept
 
 
 @pytest.mark.parametrize("seed", [3, 29])
@@ -164,11 +195,13 @@ def test_match_files_equals_reference_on_synthetic_pair(tmp_path, monkeypatch, s
     shape = dataclasses.replace(workloads.WORKLOADS["rename-baseline"].corpus, files=150)
     paths = synth.write_pair(shape, seed, tmp_path)
     old_set, new_set = load_version(paths["old"]), load_version(paths["new"])
-    matches = match_files(old_set, new_set)
-    assert matches == reference_match_files(old_set, new_set)
+    scores = {}
+    matches = match_files(old_set, new_set, scores=scores)
+    assert (matches, scores) == reference_match_files(old_set, new_set)
     assert sum(1 for new, old in matches.items() if old not in (None, new)) > 10
 
     records, _ = partition(old_set, new_set, matches)
+    assert partition(old_set, new_set, matches, scores)[0] == records
     truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
     got = [{"new_path": r.new_file.path, "old_path": r.old_file.path if r.old_file else "",
             "match_kind": r.match_kind, "subset": r.subset,
@@ -224,11 +257,14 @@ def exact_text_match_files(old_set, new_set, params):
 def test_match_files_equals_exact_text_reference(old_set, new_set, threshold, gap_multiplier):
     params = MatchParams(threshold, gap_multiplier)
     expected, scores = exact_text_match_files(old_set, new_set, params)
-    matches = match_files(old_set, new_set, params)
+    kept = {}
+    matches = match_files(old_set, new_set, params, scores=kept)
     assert matches == expected
+    assert kept == scores  # bit for bit: the score the greedy pass kept
     records, _ = partition(old_set, new_set, matches)
     similar = {r.record_id: r.similarity for r in records if r.match_kind == "similarity"}
     assert similar == scores  # bit for bit: one equality relation, one formula
+    assert partition(old_set, new_set, matches, kept)[0] == records
 
 
 class TestMatchFiles:

@@ -545,6 +545,8 @@ class TestCli:
         for name, text in bad_preds.items():
             (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
             evaluate.append(["evaluate", "--preds", str(tmp_path / f"{name}.csv")])
+        (tmp_path / "bad_utf8.csv").write_bytes(header.encode() + b"a\xff,B00,0,0,0,,json,M5\n")
+        evaluate.append(["evaluate", "--preds", str(tmp_path / "bad_utf8.csv")])
         for argv in (["diff", *inputs, "--record", "missing.java"],
                      ["context", *inputs, "--record", "pkg/Fresh.java"],  # an added file
                      ["prompt", *inputs, "--record", "pkg/Fresh.java", "--method", "M5"],
