@@ -7,12 +7,15 @@ consumers via normalize_lines.
 
 Snapshots are read by _csv_rows, which yields the rows csv.reader yields for
 the default dialect with one regex match per field, reading _BLOCK
-characters at a time. Snapshots are written with csv.writer.
+characters at a time. The file is opened with newline="\n": like
+newline="", it leaves every line end as it is in the file, which the CSV
+grammar needs, and unlike newline="" it sends no decoded block through a
+universal-newline pass. One byte-order mark at the start of the file is
+skipped.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass, field
@@ -29,12 +32,19 @@ _BLOCK = 1 << 16
 # One field and the separator after it. A quoted field is group 1 with each
 # "" made ", plus group 2, the text after its closing quote, which csv.reader
 # keeps as it is; an unquoted field is group 3. An unclosed quote runs to the
-# end of the text, as in csv.reader.
+# end of the text, as in csv.reader. Every quote in group 1 is one of a ""
+# pair, so splitting group 1 on the quote leaves an empty piece at each odd
+# place, and joining the even pieces with one quote unescapes it.
 _FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*))?|([^,\r\n]*))(,|\r\n|\n|\r|\Z)')
 
 
 def _csv_rows(fh):
-    """Yield the rows csv.reader(fh) yields for a text file opened with newline="".
+    """Yield the rows csv.reader(fh) yields for a text file read untranslated.
+
+    fh must return the file's characters as they are: a file opened with
+    newline="\n" or newline="", or a StringIO made with either. The loaders
+    open with newline="\n", which translates nothing either and, unlike
+    newline="", sends no block through a universal-newline pass.
 
     A row cut by the end of a block, or by a block that ends in a carriage
     return (which may start a CRLF), is parsed again with the next block
@@ -59,7 +69,8 @@ def _csv_rows(fh):
             if sep != "," and not row and plain == "":
                 yield row  # a line with no fields
             else:
-                row.append(plain if quoted is None else quoted.replace('""', '"') + (tail or ""))
+                row.append(plain if quoted is None
+                           else '"'.join(quoted.split('"')[::2]) + (tail or ""))
                 if sep == ",":
                     continue
                 yield row
@@ -124,6 +135,16 @@ class VersionSet:
         return sum(f.label for f in self.files) / len(self.files)
 
 
+def _skip_bom(fh) -> None:
+    """Move a text file opened at its start past one byte-order mark, if it has one.
+
+    Skipped before the CSV is parsed, the mark is gone from a quoted first
+    header cell too; U+FEFF anywhere else is kept.
+    """
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+
+
 def _pick_column(header: list[str], explicit: str | None, candidates: tuple[str, ...],
                  role: str) -> str:
     if explicit is not None:
@@ -156,14 +177,16 @@ def load_version(csv_path: str | Path, label_column: str | None = None,
     """Load one labeled snapshot CSV into a VersionSet.
 
     Bug counts threshold at >0 -> defective. Source text is kept exactly as
-    stored (after CSV unescaping); invalid UTF-8 bytes are replaced.
+    stored (after CSV unescaping); invalid UTF-8 bytes are replaced. A
+    byte-order mark at the start of the file is skipped.
     """
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise ConfigurationError(f"dataset file not found: {csv_path}")
     vid = version_id if version_id is not None else csv_path.stem
 
-    with open(csv_path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(csv_path, newline="\n", encoding="utf-8", errors="replace") as fh:
+        _skip_bom(fh)
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -187,15 +210,6 @@ def load_version(csv_path: str | Path, label_column: str | None = None,
                 version_id=vid,
             ))
     return VersionSet(version_id=vid, dataset_name=dataset_name, files=tuple(files))
-
-
-def write_version(vset: VersionSet, csv_path: str | Path) -> None:
-    """Serialize a VersionSet back to CSV (round-trips path/label/source)."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "bug", "src"])
-        for f in vset.files:
-            writer.writerow([f.path, f.label, f.source])
 
 
 def normalize_lines(source: str) -> list[str]:

@@ -9,6 +9,7 @@ manifest that reproduces the run byte-for-byte in stub mode.
 from __future__ import annotations
 
 import csv
+import inspect
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ from typing import get_type_hints
 from . import __version__
 from .baselines import BASELINE_KINDS, predict_naive
 from .context import extract_context
-from .corpus import _csv_rows, load_version, normalize_lines
+from .corpus import _csv_rows, _skip_bom, load_version, normalize_lines
 from .debate import DebateConfig, run_debate, save_transcript
 from .diffing import diff
 from .errors import ConfigurationError, DataError, PipelineStageError
@@ -28,6 +29,11 @@ from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_predicti
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
 from .prompting import METHOD_IDS, REQUIRED_INPUTS, ROLES, build_method_prompt
+
+
+def _default(fn, name: str):
+    """The default of fn's parameter name, so RunConfig restates no layer's constant."""
+    return inspect.signature(fn).parameters[name].default
 
 
 @dataclass
@@ -38,15 +44,15 @@ class RunConfig:
     path_column: str = ""
     label_column: str = ""
     source_column: str = ""
-    threshold: float = 0.7
-    gap_multiplier: float = 1.0
-    diff_context: int = 3
-    depth: int = 3
-    max_lines: int = 400
+    threshold: float = MatchParams.threshold
+    gap_multiplier: float = MatchParams.gap_multiplier
+    diff_context: int = _default(diff, "context_lines")
+    depth: int = DebateConfig.depth
+    max_lines: int = DebateConfig.max_lines
     baseline: str = ""            # label_persistent | all_benign
     method: str = ""              # M0..M8
     debate: bool = False
-    rounds: int = 1
+    rounds: int = DebateConfig.rounds
     roles: str = ""               # analyzer=a,proposer=b,skeptic=c,judge=d
     model: str = "gpt-5-mini"
     base_url: str = ""
@@ -54,7 +60,7 @@ class RunConfig:
     caps: str = ""                # e.g. B00=100,D01=50
     seed: int = 42
     out_dir: str = "runs/latest"
-    max_in_flight: int = 4
+    max_in_flight: int = _default(HttpChatClient, "max_in_flight")
     exemplar_count: int = 3
 
     def selector(self) -> str:
@@ -383,11 +389,12 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
     file that write_predictions_csv wrote, that is the line the record is on.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="\n", encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read predictions {path}: {exc.strerror}") from exc
     with fh:
         try:
+            _skip_bom(fh)
             rows = _prediction_rows(path, _csv_rows(fh))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc

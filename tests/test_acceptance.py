@@ -388,7 +388,7 @@ def test_a8_metric_oracle():
 # ---------------------------------------------------------------------------
 
 def small_corpus(tmp_path):
-    from driftlens.corpus import write_version
+    from snapshot_csv import write_version
 
     def java_file(path, body, label, version):
         name = path.split("/")[-1].removesuffix(".java")

@@ -18,9 +18,9 @@ from driftlens.corpus import (
     _csv_rows,
     load_version,
     normalize_lines,
-    write_version,
 )
 from driftlens.errors import ConfigurationError, DataError
+from snapshot_csv import write_version
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -283,3 +283,57 @@ def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monk
         paths = synth.write_pair(params, 3, tmp_path / name)
         for side in ("old", "new"):
             assert loaded(paths[side]) == reference_load_version(paths[side]), (name, side)
+
+
+# a \r\n and a "" pair split by the real block edge, and a 4-byte character whose
+# bytes straddle it, inside a quoted field; and a row's \r\n line end split by it
+_EDGE_CASES = [("\r\n", "quoted"), ('""', "quoted"), ("\U0001f600", "quoted"),
+               ("\r\n", "line end")]
+
+
+@pytest.mark.parametrize("piece,where", _EDGE_CASES)
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+def test_load_version_equals_csv_reader_loader_at_the_real_block_edge(tmp_path, piece, where,
+                                                                      shift):
+    prefix = 'name,bug,src\r\nA.java,0,"'
+    at = corpus._BLOCK - 1 + shift  # the character index the piece starts at
+    filler_size = at - len(prefix) - (where == "line end")
+    filler = ("int x = 1;\n" * (filler_size // 11 + 1))[:filler_size]
+    if where == "quoted":
+        text = f'{prefix}{filler}{piece}x"\r\nB.java,1,"b"""\r\n'
+    else:
+        text = f'{prefix}{filler}"{piece}B.java,1,b\r\n'
+    assert text.index(piece, len(prefix) + filler_size) == at
+    p = tmp_path / "v.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert len(text) > corpus._BLOCK
+    got = loaded(p)
+    assert got == reference_load_version(p)
+    if where == "quoted":
+        assert got[0][1].endswith(piece.replace('""', '"') + "x")
+
+
+def _quote_run_texts():
+    for k in range(1, 41):
+        run = '"' * k
+        yield f'"{run}ab",x\r\n'       # at the start of a quoted field
+        yield f'"a{run}b",x\r\n'       # inside it
+        yield f'"ab{run}",x\r\n'       # at its end
+        yield f'y,"{run}a{run}"\n"{run}"\r\n'  # at both ends; quotes only
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+def test_csv_rows_equal_csv_reader_on_quote_runs(monkeypatch, block):
+    monkeypatch.setattr(corpus, "_BLOCK", block)
+    for text in _quote_run_texts():
+        assert rows_of(text) == reader_rows(text), (block, text)
+
+
+@pytest.mark.parametrize("header", ["name,bug,src", '"name","bug","src"'])
+def test_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path, header):
+    body = f'{header}\r\nA.java,0,"\ufeffclass A {{}}"\r\nB.java,1,b\ufeff\r\n'.encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    assert loaded(marked) == loaded(plain) == [("A.java", "\ufeffclass A {}", 0),
+                                               ("B.java", "b\ufeff", 1)]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from driftlens import pipeline
 from driftlens.cli import build_parser, main as cli_main
 from driftlens.context import extract_context
-from driftlens.corpus import VersionedFile, VersionSet, write_version
+from driftlens.corpus import VersionedFile, VersionSet
 from driftlens.debate import DebateConfig
 from driftlens.diffing import diff
 from driftlens.errors import ConfigurationError, PipelineStageError
@@ -22,6 +22,7 @@ from driftlens.llm import HttpChatClient, ScriptedChatClient
 from driftlens.matching import MatchParams
 from driftlens.metrics import render_text
 from driftlens.pipeline import PredictionRow, RunConfig, config_from_lines, config_lines
+from snapshot_csv import write_version
 
 
 def java_file(path, body_line, label=0, version="v"):
@@ -357,6 +358,21 @@ class TestArtifactReaders:
         assert pipeline.read_predictions_csv(path) == rows
 
 
+    def test_read_matches_csv_reader_on_crlf_and_escaped_record_ids(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_bytes(
+            b"record_id,subset,old_label,new_label,pred_label,confidence,parse_path,method\r\n"
+            b'"pkg/""A"",1.java",B00,0,1,1,0.5000,json,M5\r\n'
+            b'"b,""\r\nc""",added,,0,,,"regex, fallback",M5\r\n')
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = list(csv.reader(fh))[1:]
+        expected = [PredictionRow(c[0], c[1], int(c[2]) if c[2] else None, int(c[3]),
+                                  int(c[4]) if c[4] else None, float(c[5]) if c[5] else None,
+                                  c[6], c[7]) for c in cells]
+        assert pipeline.read_predictions_csv(path) == expected
+        assert [row.record_id for row in expected] == ['pkg/"A",1.java', 'b,"\r\nc"']
+
+
 class TestCli:
     def test_cli_import_loads_no_numpy(self):
         """Every driftlens call pays for what `import driftlens.cli` loads."""
@@ -434,6 +450,17 @@ class TestCli:
         assert cli_main(["evaluate", "--preds", str(artifacts["predictions"])]) == 0
         expected = render_text(dataclasses.replace(report, elapsed_seconds=0.0))
         assert capsys.readouterr().out == expected + "\n"
+
+    def test_evaluate_reads_a_predictions_file_with_a_byte_order_mark(self, corpus, tmp_path,
+                                                                      capsys):
+        config = base_config(corpus, tmp_path, baseline="label_persistent")
+        _, artifacts = pipeline.run(config)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(artifacts["predictions"]).read_bytes())
+        assert cli_main(["evaluate", "--preds", str(artifacts["predictions"])]) == 0
+        plain = capsys.readouterr()
+        assert cli_main(["evaluate", "--preds", str(marked)]) == 0
+        assert capsys.readouterr() == plain
 
     def test_debate_stub_cli(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
