@@ -10,10 +10,10 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .baselines import BASELINE_KINDS
-from .errors import DriftlensError
+from .errors import ConfigurationError, DriftlensError
 from .matching import match_files, partition
 from .metrics import evaluate_predictions, render_text
-from .prompting import REQUIRED_INPUTS, build_method_prompt, build_role_prompt
+from .prompting import METHOD_IDS, build_method_prompt, build_role_prompt
 
 # Flags spelled differently from the RunConfig field they set. A
 # (subcommand, field) key applies to that subcommand only.
@@ -100,12 +100,8 @@ def cmd_match(args) -> int:
 def cmd_partition(args) -> int:
     config, _, _, stats = _partitioned(args)
     name = config.dataset or Path(config.new_csv).stem
-    header = f"{'dataset':<16}{'R':>8}{'A':>8}{'d=0':>8}{'B00':>8}{'B10':>8}{'D11':>8}{'D01':>8}"
-    row = (f"{name:<16}{stats.pct_removed:>8.2f}{stats.pct_added:>8.2f}"
-           f"{stats.pct_same_source:>8.2f}{stats.pct_b00:>8.2f}{stats.pct_b10:>8.2f}"
-           f"{stats.pct_d11:>8.2f}{stats.pct_d01:>8.2f}")
-    print(header)
-    print(row)
+    print(f"{'dataset':<16}{'R':>8}{'A':>8}{'d=0':>8}{'B00':>8}{'B10':>8}{'D11':>8}{'D01':>8}")
+    print(f"{name:<16}" + "".join(f"{pct:>8.2f}" for pct in stats.as_row()))
     print(f"sum = {stats.total():.2f} over {stats.counts['union']} file events")
     return 0
 
@@ -127,15 +123,15 @@ def cmd_context(args) -> int:
 
 
 def cmd_prompt(args) -> int:
+    if args.method not in (*METHOD_IDS, "analyzer"):  # before loading, so it fails fast
+        raise ConfigurationError(f"unknown method {args.method!r}")
     config, old_set, record = _load_record(args)
     cs, ctx = pipeline.record_materials(record, config, need_context=True)
     if config.method == "analyzer":
         bundle = build_role_prompt(config.method, record, cs, ctx)
     else:
-        exemplars = None
-        if "exemplars" in REQUIRED_INPUTS.get(config.method, ()):
-            exemplars = pipeline.pick_exemplars(old_set, config.exemplar_count, config.seed)
-        bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)
+        bundle = build_method_prompt(config.method, record, cs, ctx=ctx,
+                                     exemplars=pipeline.method_exemplars(config, old_set))
     print("=== system ===")
     print(bundle.system)
     print("=== user ===")
@@ -236,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DriftlensError as exc:
+    except (DriftlensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,12 @@
 """Line-level diffs between matched file versions and unified-diff rendering.
 
 The alignment is a longest-common-subsequence line diff: kernels.lcs_pairs
-returns its matching blocks, each block becomes one equal opcode, and each
-gap between blocks one replace, delete or insert. Lines are compared with
-their terminators so that a missing final newline is a real change;
-rendering emits the conventional backslash marker for it and apply_unified
-reproduces the new text byte-for-byte.
+returns its matching blocks, and the changes are the gaps between matching
+blocks, each a tuple (i1, i2, j1, j2) meaning a[i1:i2] became b[j1:j2].
+Lines are compared with their terminators so that a missing final newline
+is a real change; rendering emits the conventional backslash marker for it
+and apply_unified reproduces the new text byte-for-byte.
 """
-
 from __future__ import annotations
 
 import io
@@ -44,45 +43,15 @@ def _display(piece: str) -> str:
     return piece[:-1] if piece.endswith("\n") else piece
 
 
-def _opcodes(blocks, n, m):
-    """difflib-style opcodes (tag, i1, i2, j1, j2) from non-adjacent matching blocks."""
-    ops = []
+def _gaps(blocks, n, m):
+    """The changes (i1, i2, j1, j2), a[i1:i2] became b[j1:j2], between matching blocks."""
+    gaps = []
     i = j = 0
     for ai, bj, size in blocks + [(n, m, 0)]:
-        if i < ai and j < bj:
-            ops.append(("replace", i, ai, j, bj))
-        elif i < ai:
-            ops.append(("delete", i, ai, j, bj))
-        elif j < bj:
-            ops.append(("insert", i, ai, j, bj))
-        if size:
-            ops.append(("equal", ai, ai + size, bj, bj + size))
+        if i < ai or j < bj:
+            gaps.append((i, ai, j, bj))
         i, j = ai + size, bj + size
-    return ops
-
-
-def _grouped(ops, context):
-    """Group opcodes into hunks with at most `context` equal lines around them."""
-    if not ops:
-        return
-    ops = list(ops)
-    if ops[0][0] == "equal":
-        tag, i1, i2, j1, j2 = ops[0]
-        ops[0] = (tag, max(i1, i2 - context), i2, max(j1, j2 - context), j2)
-    if ops[-1][0] == "equal":
-        tag, i1, i2, j1, j2 = ops[-1]
-        ops[-1] = (tag, i1, min(i2, i1 + context), j1, min(j2, j1 + context))
-
-    group = []
-    for tag, i1, i2, j1, j2 in ops:
-        if tag == "equal" and i2 - i1 > 2 * context:
-            group.append((tag, i1, min(i2, i1 + context), j1, min(j2, j1 + context)))
-            yield group
-            group = [(tag, max(i1, i2 - context), i2, max(j1, j2 - context), j2)]
-        else:
-            group.append((tag, i1, i2, j1, j2))
-    if group and not (len(group) == 1 and group[0][0] == "equal"):
-        yield group
+    return gaps
 
 
 def _format_range(start: int, stop: int) -> str:
@@ -95,31 +64,40 @@ def _format_range(start: int, stop: int) -> str:
     return f"{beginning},{length}"
 
 
-def _emit(out: list[str], prefix: str, piece: str) -> None:
-    out.append(prefix + _display(piece))
-    if not piece.endswith("\n"):
-        out.append(_NO_NEWLINE)
+def _emit(out: list[str], prefix: str, pieces) -> None:
+    for piece in pieces:
+        out.append(prefix + _display(piece))
+        if not piece.endswith("\n"):
+            out.append(_NO_NEWLINE)
 
 
-def _render_unified(a, b, ops, context, path):
+def _render_unified(a, b, gaps, context, path):
+    """One hunk per run of gaps at most 2·context equal lines apart.
+
+    A hunk opens with up to `context` equal lines before its first gap and
+    closes with up to `context` after its last, as difflib groups opcodes.
+    """
     lines: list[str] = []
-    for group in _grouped(ops, context):
-        if not lines:
-            lines.append(f"--- a/{path}")
-            lines.append(f"+++ b/{path}")
-        i1, i2 = group[0][1], group[-1][2]
-        j1, j2 = group[0][3], group[-1][4]
-        lines.append(f"@@ -{_format_range(i1, i2)} +{_format_range(j1, j2)} @@")
-        for tag, a1, a2, b1, b2 in group:
-            if tag == "equal":
-                for piece in a[a1:a2]:
-                    _emit(lines, " ", piece)
-                continue
-            for piece in a[a1:a2]:
-                _emit(lines, "-", piece)
-            for piece in b[b1:b2]:
-                _emit(lines, "+", piece)
-    return "\n".join(lines) + "\n" if lines else ""
+    first = 0  # index of the open hunk's first gap
+    for k, (_, i2, _, j2) in enumerate(gaps):
+        last = k + 1 == len(gaps)
+        after = (len(a) if last else gaps[k + 1][0]) - i2
+        if not last and after <= 2 * context:
+            continue
+        i1, _, j1, _ = gaps[first]
+        lead = min(context, i1)  # a later hunk starts over 2·context past the one before
+        trail = min(context, after)
+        lines.append(f"@@ -{_format_range(i1 - lead, i2 + trail)} "
+                     f"+{_format_range(j1 - lead, j2 + trail)} @@")
+        at = i1 - lead
+        for g1, g2, h1, h2 in gaps[first:k + 1]:
+            _emit(lines, " ", a[at:g1])
+            _emit(lines, "-", a[g1:g2])
+            _emit(lines, "+", b[h1:h2])
+            at = g2
+        _emit(lines, " ", a[at:i2 + trail])
+        first = k + 1
+    return f"--- a/{path}\n+++ b/{path}\n" + "\n".join(lines) + "\n" if lines else ""
 
 
 def diff(old_source: str, new_source: str, context_lines: int = 3,
@@ -129,19 +107,17 @@ def diff(old_source: str, new_source: str, context_lines: int = 3,
         raise ValueError("context_lines must be >= 0")
     a = split_keepends(old_source)
     b = split_keepends(new_source)
-    ops = _opcodes(kernels.lcs_pairs(a, b), len(a), len(b))
+    gaps = _gaps(kernels.lcs_pairs(a, b), len(a), len(b))
 
     added = []
     removed = []
     anchors = []
-    for tag, i1, i2, j1, j2 in ops:
-        if tag in ("replace", "delete"):
-            removed.extend((i + 1, _display(a[i])) for i in range(i1, i2))
-        if tag in ("replace", "insert"):
-            added.extend((j + 1, _display(b[j])) for j in range(j1, j2))
-        if tag == "delete":  # adds no line, so anchor it on the new lines around its gap
+    for i1, i2, j1, j2 in gaps:
+        removed.extend((i + 1, _display(a[i])) for i in range(i1, i2))
+        added.extend((j + 1, _display(b[j])) for j in range(j1, j2))
+        if j1 == j2:  # a pure deletion adds no line, so anchor it on the new lines around it
             anchors.extend(range(max(j1, 1), min(j1 + 1, len(b)) + 1))
-    unified = _render_unified(a, b, ops, context_lines, path)
+    unified = _render_unified(a, b, gaps, context_lines, path)
     return ChangeSet(
         added=tuple(added),
         removed=tuple(removed),

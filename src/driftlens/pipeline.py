@@ -254,6 +254,13 @@ def pick_exemplars(old_set, count: int, seed: int) -> list[str]:
     return snippets
 
 
+def method_exemplars(config: RunConfig, old_set) -> list[str] | None:
+    """The exemplars config.method's prompt shows, or None when it shows none."""
+    if "exemplars" not in REQUIRED_INPUTS.get(config.method, ()):
+        return None
+    return pick_exemplars(old_set, config.exemplar_count, config.seed)
+
+
 def record_materials(record, config: RunConfig, need_context: bool):
     cs = diff(record.old_file.source, record.new_file.source,
               context_lines=config.diff_context, path=record.record_id)
@@ -474,10 +481,8 @@ def run(config: RunConfig, client=None):
             if client is None:
                 client = make_client(config)
             if selector == "method":
-                exemplars = None
-                if "exemplars" in REQUIRED_INPUTS[config.method]:
-                    exemplars = pick_exemplars(old_set, config.exemplar_count, config.seed)
-                rows = predict_with_method(sampled, config, client, exemplars)
+                rows = predict_with_method(sampled, config, client,
+                                           method_exemplars(config, old_set))
             else:
                 transcripts_dir = out_dir / "transcripts"
                 rows = predict_with_debate(sampled, config, client, transcripts_dir)

@@ -1,3 +1,4 @@
+import difflib
 import hashlib
 import importlib
 import random
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from driftlens import kernels
 from driftlens.diffing import (
     ChangeSet,
-    _opcodes,
     _scan_hunks,
     apply_unified,
     diff,
@@ -192,35 +192,6 @@ def test_split_keepends_splits_on_newline_only(source):
     assert split_keepends(source) == reference_split_keepends(source)
 
 
-def expand(blocks):
-    # the matched index pairs (i, j) that matching blocks stand for
-    for i, j, size in blocks:
-        for t in range(size):
-            yield i + t, j + t
-
-
-def reference_opcodes(pairs, n, m):
-    # The per-pair loop that _opcodes replaced with one step per block: it
-    # rebuilt each equal run by merging consecutive diagonal pairs.
-    ops = []
-    i = j = 0
-    for ai, bj in pairs + [(n, m)]:
-        if i < ai and j < bj:
-            ops.append(("replace", i, ai, j, bj))
-        elif i < ai:
-            ops.append(("delete", i, ai, j, bj))
-        elif j < bj:
-            ops.append(("insert", i, ai, j, bj))
-        if ai < n and bj < m:
-            if ops and ops[-1][0] == "equal" and ops[-1][2] == ai and ops[-1][4] == bj:
-                tag, i1, _, j1, _ = ops.pop()
-                ops.append((tag, i1, ai + 1, j1, bj + 1))
-            else:
-                ops.append(("equal", ai, ai + 1, bj, bj + 1))
-        i, j = ai + 1, bj + 1
-    return ops
-
-
 # two line lists over 1-4 symbols around an optional shared prefix and
 # suffix, the shape of test_kernels' line_pairs
 line_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(
@@ -229,17 +200,53 @@ line_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(
     lambda parts: (parts[0] + parts[1] + parts[3], parts[0] + parts[2] + parts[3]))
 
 
-@given(line_pairs)
-@example(([], []))
-@example((["a"], []))
-@example(([], ["a", "b"]))
-@example((["a", "b"], ["a", "b"]))
+class KernelBlocks(difflib.SequenceMatcher):
+    # stdlib's matcher over the kernel's alignment, so get_grouped_opcodes
+    # groups exactly the matching blocks diff() renders
+    def __init__(self, a, b):
+        super().__init__(None, a, b, autojunk=False)
+        self.matching_blocks = kernels.lcs_pairs(a, b) + [(len(a), len(b), 0)]
+
+
+def reference_unified(old, new, context, path):
+    # An oracle for hunk grouping: stdlib's get_grouped_opcodes rendered
+    # with stdlib's range format and the no-newline marker.
+    a, b = split_keepends(old), split_keepends(new)
+    out = []
+
+    def emit(prefix, pieces):
+        for piece in pieces:
+            out.append(prefix + piece.removesuffix("\n"))
+            if not piece.endswith("\n"):
+                out.append("\\ No newline at end of file")
+
+    for group in KernelBlocks(a, b).get_grouped_opcodes(context):
+        i1, i2, j1, j2 = group[0][1], group[-1][2], group[0][3], group[-1][4]
+        out.append(f"@@ -{difflib._format_range_unified(i1, i2)} "
+                   f"+{difflib._format_range_unified(j1, j2)} @@")
+        for tag, a1, a2, b1, b2 in group:
+            if tag == "equal":
+                emit(" ", a[a1:a2])
+            else:
+                emit("-", a[a1:a2])
+                emit("+", b[b1:b2])
+    return f"--- a/{path}\n+++ b/{path}\n" + "\n".join(out) + "\n" if out else ""
+
+
+def text_of(lines, final_newline):
+    return "\n".join(lines) + ("\n" if lines and final_newline else "")
+
+
+@given(line_pairs, st.booleans(), st.booleans(), st.integers(0, 5))
+@example(([], []), True, True, 3)
+@example((["a"], []), False, True, 0)
+@example(([], ["a", "b"]), True, False, 1)
+@example((["a", "b"], ["a", "b"]), True, False, 2)
+@example((["a"] * 10, ["a"] * 39), False, False, 3)
 @settings(max_examples=500, deadline=None)
-def test_opcodes_from_blocks_equal_pairwise_opcodes(pair):
-    a, b = pair
-    blocks = kernels.lcs_pairs(a, b)
-    n, m = len(a), len(b)
-    assert _opcodes(blocks, n, m) == reference_opcodes(list(expand(blocks)), n, m)
+def test_unified_equals_difflib_grouping_of_kernel_blocks(pair, old_ends, new_ends, context):
+    old, new = text_of(pair[0], old_ends), text_of(pair[1], new_ends)
+    assert diff(old, new, context, "p").unified == reference_unified(old, new, context, "p")
 
 
 def test_changed_new_lines_match_added():

@@ -13,7 +13,7 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
-from driftlens import kernels, pipeline
+from driftlens import diffing, kernels, pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,7 +55,11 @@ def test_dice_span_opens_once_per_pending_file(tmp_path, monkeypatch):
 
 
 def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
-    """corpus.load_s, files and mbytes stay measures of loading the two snapshots."""
+    """corpus.load_s, files and mbytes stay measures of loading the two snapshots.
+
+    The same run feeds the reads only a traced run makes of the captured
+    diffs: the round-trip check and the LCS cell count.
+    """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     synth = importlib.import_module("synth")
@@ -65,9 +69,9 @@ def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
     config = pipeline.RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"]),
                                 out_dir=str(tmp_path / "out"), **workload.config)
     files = sum(len(pipeline.load_version(paths[side])) for side in ("old", "new"))
-    tracer, counts = worker.Tracer(), Counter()
+    tracer, counts, captured = worker.Tracer(), Counter(), []
     try:
-        worker.install_spans(tracer, counts, [])
+        worker.install_spans(tracer, counts, captured)
         pipeline.run(config)
     finally:
         tracer.restore()
@@ -75,3 +79,8 @@ def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
     assert len(load_spans) == 2
     assert counts["files"] == files
     assert counts["bytes"] == sum(Path(paths[side]).stat().st_size for side in ("old", "new"))
+    assert captured
+    for old, new, cs in captured:
+        assert diffing.apply_unified(old, cs.unified) == new
+    cells, over_budget = worker.lcs_cells(captured)
+    assert cells > 0 and over_budget == 0

@@ -530,6 +530,26 @@ class TestCli:
         field = {"--context": "diff_context"}.get(argv[-2], argv[-2][2:].replace("-", "_"))
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("command", ["match", "baseline", "predict"])
+    def test_unwritable_output_path_is_an_error(self, corpus, tmp_path, capsys, command):
+        old_csv, new_csv = corpus
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        inputs = ["--old", str(old_csv), "--new", str(new_csv)]
+        argv = {"match": ["match", *inputs, "--out", str(tmp_path / "missing" / "m.csv")],
+                "baseline": ["baseline", *inputs, "--out", str(tmp_path / "missing" / "p.csv")],
+                "predict": ["predict", *inputs, "--method", "M5", "--stub",
+                            "--out-dir", str(a_file / "x")]}[command]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_prompt_rejects_an_unknown_method_before_loading(self, tmp_path, capsys):
+        # the inputs do not exist: the error must name the method, not the file
+        assert cli_main(["prompt", "--old", str(tmp_path / "old.csv"), "--new",
+                         str(tmp_path / "new.csv"), "--record", "pkg/B10.java",
+                         "--method", "M9"]) == 2
+        assert capsys.readouterr().err == "error: unknown method 'M9'\n"
+
     def test_flag_defaults_match_run_config(self):
         subparsers = next(action for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
