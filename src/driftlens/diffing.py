@@ -7,6 +7,7 @@ Lines are compared with their terminators so that a missing final newline
 is a real change; rendering emits the conventional backslash marker for it
 and apply_unified reproduces the new text byte-for-byte.
 """
+
 from __future__ import annotations
 
 import io
