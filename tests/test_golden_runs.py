@@ -17,10 +17,9 @@ from pathlib import Path
 import pytest
 
 from driftlens import pipeline
-from driftlens.llm import HttpChatClient, RetryPolicy, ScriptedChatClient
+from driftlens.llm import HttpChatClient, ScriptedChatClient
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRANSITION_SUBSETS = ("B00", "B10", "D01", "D11")
 
 
 def request_digest(req) -> str:
@@ -42,19 +41,19 @@ def without_elapsed(path: Path) -> bytes:
     return b"".join(line for line in lines if not line.startswith(b"elapsed_seconds"))
 
 
-def make_client(monkeypatch, kind: str, workload, truth):
+def make_client(monkeypatch, workload, truth):
     fakes = importlib.import_module("fakes")
-    evaluated = [row["new_path"] for row in truth if row["subset"] in TRANSITION_SUBSETS]
-    plan = fakes.ReplyPlan(evaluated)
-    if kind == "stub":
+    subsets = importlib.import_module("workloads").TRANSITION_SUBSETS
+    plan = fakes.ReplyPlan(row["new_path"] for row in truth if row["subset"] in subsets)
+    if workload.client == "stub":
         config = workload.config
         return ScriptedChatClient(plan.stub_script("debate" if config.get("debate")
                                                    else config["method"]))
     monkeypatch.setattr(fakes, "BASE_LATENCY_S", 0.0)
     monkeypatch.setattr(fakes, "LATENCY_PER_CHAR_S", 0.0)
     return HttpChatClient(base_url="http://fake-endpoint.invalid/v1", api_key="golden",
-                          retry_policy=RetryPolicy(), max_in_flight=2,
-                          transport=fakes.FakeEndpoint(plan), sleep=lambda s: None)
+                          max_in_flight=2, transport=fakes.FakeEndpoint(plan),
+                          sleep=lambda s: None)
 
 
 def run_digests(tmp_path, monkeypatch, name: str, seed: int) -> dict[str, str]:
@@ -70,7 +69,7 @@ def run_digests(tmp_path, monkeypatch, name: str, seed: int) -> dict[str, str]:
     requests = []
     client = None
     if workload.client != "none":
-        client = make_client(monkeypatch, workload.client, workload, truth)
+        client = make_client(monkeypatch, workload, truth)
         inner = client.complete
 
         def complete(req):
