@@ -4,6 +4,7 @@ predict, debate, evaluate, and run."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -139,10 +140,32 @@ def cmd_prompt(args) -> int:
     return 0
 
 
+def _claim_outputs(*paths: str) -> None:
+    """Check that every output path can be opened for writing before any is written.
+
+    Each path is opened for appending, which creates a missing file but
+    leaves an existing one as it is. If one cannot be opened, the files
+    this call created are removed before the error is raised, so a path
+    that cannot be written leaves no output of the command behind.
+    """
+    made = []
+    try:
+        for path in paths:
+            fresh = not os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if fresh:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def cmd_baseline(args) -> int:
     _, _, records, _ = _partitioned(args)
     kind = args.kind.replace("-", "_")
     rows = pipeline.baseline_rows(records, kind)
+    _claim_outputs(*filter(None, (args.out, args.records_out)))
     pipeline.write_predictions_csv(rows, args.out)
     if args.records_out:
         pipeline.write_records_csv(records, args.records_out)

@@ -10,8 +10,12 @@ block per diagonal run, and uses line_hash64 only to break ties, so both
 give the same blocks. Every common run is found by galloping slice
 compares. Dice scores one query's line set against every candidate through
 an inverted index keyed by line text, so equal keys mean equal text: one
-Counter over the posting lists of the query's lines counts each candidate's
-shared lines (the ScanCount merge of Li, Lu & Lu, ICDE 2008).
+Counter over the posting lists of the query's lines counts the shared lines
+of each candidate they touch (the ScanCount merge of Li, Lu & Lu, ICDE
+2008). Every untouched candidate shares the same lines, so its score
+depends on its size alone: the result is a score profile, each distinct
+score with its count and first candidate, made in time proportional to the
+posting hits and the distinct candidate sizes, not the candidates.
 """
 
 from __future__ import annotations
@@ -66,31 +70,61 @@ def pack_line_sets(sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]
     return index, offsets
 
 
-def dice_batch(query: Collection[str], index: dict[str, list[int]],
-               offsets: Sequence[int]) -> list[float]:
-    """Dice similarity of one line set against every indexed set, 2|A∩B|/(|A|+|B|).
+def size_groups(offsets: Sequence[int]) -> dict[int, list[int]]:
+    """The indices of the indexed sets by set size, ascending within each size."""
+    groups: dict[int, list[int]] = {}
+    for t, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        groups.setdefault(hi - lo, []).append(t)
+    return groups
 
-    The query holds distinct lines. One Counter over their posting lists
-    gives hits[n], the query's common lines, which every candidate shares
-    but for the hits[~t] that candidate t lacks, and hits[t], the rare lines
-    it holds. Two empty sets score 1.0, and an empty set against a non-empty
-    one scores 0.0.
+
+def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Sequence[int],
+               groups: dict[int, list[int]]) -> dict[float, tuple[int, int]]:
+    """The score profile of one line set against every indexed set, Dice 2|A∩B|/(|A|+|B|).
+
+    The profile maps each distinct score to (count, first): how many
+    indexed sets score it, and the least index of one that does. groups is
+    size_groups(offsets). The query holds distinct lines. One Counter over
+    their posting lists gives hits[n], the query's common lines, which every
+    candidate shares but for the hits[~t] that candidate t lacks, and
+    hits[t], the rare lines it holds. A candidate no posting names shares
+    hits[n] lines exactly, so its score follows from its size: each size
+    group takes one division, and only the candidates the hits touched are
+    scored one by one. Two empty sets score 1.0, and an empty set against a
+    non-empty one scores 0.0.
     """
     n = len(offsets) - 1
     hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
     # dict methods only: Counter's missing-key lookup is a Python call per read
-    shared = [hits.pop(n, 0)] * n
+    base = hits.pop(n, 0)
+    shared: dict[int, int] = {}
     for t, count in hits.items():
         if t >= 0:
-            shared[t] += count
+            shared[t] = shared.get(t, base) + count
         else:
-            shared[~t] -= count
+            shared[~t] = shared.get(~t, base) - count
     size = len(query)
-    scores = []
-    for inter, lo, hi in zip(shared, offsets, offsets[1:]):
-        denom = size + hi - lo
-        scores.append(2.0 * inter / denom if denom else 1.0)
-    return scores
+    profile: dict[float, tuple[int, int]] = {}
+    touched: dict[int, int] = {}  # touched candidates by set size
+    for t, inter in shared.items():
+        width = offsets[t + 1] - offsets[t]
+        touched[width] = touched.get(width, 0) + 1
+        denom = size + width
+        score = 2.0 * inter / denom if denom else 1.0
+        seen = profile.get(score)
+        profile[score] = (seen[0] + 1, min(seen[1], t)) if seen else (1, t)
+    for width, members in groups.items():
+        left = len(members) - touched.get(width, 0)
+        if not left:
+            continue
+        first = members[0]
+        if first in shared:
+            first = next(t for t in members if t not in shared)
+        denom = size + width
+        score = 2.0 * base / denom if denom else 1.0
+        seen = profile.get(score)
+        profile[score] = (seen[0] + left, min(seen[1], first)) if seen else (left, first)
+    return profile
 
 
 def _bitmask(positions: list[int], width: int) -> int:

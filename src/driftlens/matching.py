@@ -8,17 +8,21 @@ population standard deviation of the gaps, decided exactly over a query's
 distinct scores (see MatchParams). Lines are compared by their exact text,
 the relation dice_similarity uses: the candidates' line sets are indexed by
 line text once per run, and each query is scored against that index (see
-kernels). The first candidate with the best score is the accepted one, so
-ties resolve by path order. Matched corpora are then partitioned into
-removed/added/same-source files and the four status-transition subsets;
-match_files can hand partition the score it kept for each similarity match.
+kernels) into a score profile: each distinct score with the number of
+candidates that have it and the first one that does. The candidates are
+grouped by line-set size once per call too, so a query costs its posting
+hits plus one division per distinct size, not one per candidate. The first
+candidate with the best score is the accepted one, so ties resolve by path
+order. Matched corpora are then partitioned into removed/added/same-source
+files and the four status-transition subsets; match_files can hand
+partition the score it kept for each similarity match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping
 
 from . import kernels
 from .corpus import VersionedFile, VersionSet
@@ -115,13 +119,15 @@ def dice_similarity(old: VersionedFile, new: VersionedFile) -> float:
     return 2.0 * len(l1 & l2) / denom
 
 
-def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
-    """The MatchParams acceptance rule on one query's scores, in any order.
+def _gap_test_accept(profile: Mapping[float, tuple[int, int]], params: MatchParams) -> bool:
+    """The MatchParams acceptance rule on one query's score profile.
 
-    With a single candidate only the threshold applies. The gap test is
-    decided exactly: every score in [0, 1] is a whole multiple of the ulp of
-    the smallest nonzero score, so the scores scale to integers without
-    rounding. With m gaps g summing to A (= s1 - sn) and c = p/q, the rule
+    The profile maps each distinct score to (count, first), as
+    kernels.dice_batch returns it; only the counts are read. With a single
+    candidate only the threshold applies. The gap test is decided exactly:
+    every score in [0, 1] is a whole multiple of the ulp of the smallest
+    nonzero score, so the scores scale to integers without rounding. With m
+    gaps g summing to A (= s1 - sn) and c = p/q, the rule
     g1 >= A/m + c·sqrt(m·Σg² - A²)/m holds exactly when L = m·g1 - A >= 0
     and (q·L)² >= p²·(m·Σg² - A²). A nonzero score below 2^-969 would
     overflow the scaled float, but it needs a file of about 2^969 lines, so
@@ -130,20 +136,21 @@ def _gap_test_accept(scores: Sequence[float], params: MatchParams) -> bool:
     Only the distinct scores are scaled. Equal neighbours of the descending
     scores leave a zero gap, which adds nothing to A or Σg², so the sums
     over the distinct scores are the sums over all of them; m still counts
-    every gap, and g1 is zero when s1 is tied.
+    every gap, one fewer than the candidates, and g1 is zero when s1 is
+    tied.
     """
-    s1 = max(scores)
+    s1 = max(profile)
     if s1 < params.threshold:
         return False
-    if len(scores) == 1:
+    m = sum(count for count, _ in profile.values()) - 1
+    if not m:
         return True
-    distinct = sorted(set(scores), reverse=True)
+    distinct = sorted(profile, reverse=True)
     unit = math.ulp(min(filter(None, distinct), default=1.0))
     ints = [int(s / unit) for s in distinct]
     gaps = [a - b for a, b in zip(ints, ints[1:])]
-    m = len(scores) - 1
     total = ints[0] - ints[-1]
-    top = gaps[0] if scores.count(s1) == 1 else 0  # s1 is unique, so a second value exists
+    top = gaps[0] if profile[s1][0] == 1 else 0  # s1 is unique, so a second value exists
     lead = m * top - total
     p, q = params.gap_multiplier.as_integer_ratio()
     return lead >= 0 and (q * lead) ** 2 >= p * p * (m * sum(g * g for g in gaps) - total * total)
@@ -172,13 +179,14 @@ def match_files(old_set: VersionSet, new_set: VersionSet,
 
     candidates.sort(key=lambda f: f.path)
     index, offsets = kernels.pack_line_sets(similarity_lines(f.source) for f in candidates)
+    groups = kernels.size_groups(offsets)
 
     accepted: list[tuple[float, str, str]] = []
     for f in sorted(pending, key=lambda f: f.path):
-        row = kernels.dice_batch(similarity_lines(f.source), index, offsets)
-        if _gap_test_accept(row, params):
-            best = max(row)
-            accepted.append((best, f.path, candidates[row.index(best)].path))
+        profile = kernels.dice_batch(similarity_lines(f.source), index, offsets, groups)
+        if _gap_test_accept(profile, params):
+            best = max(profile)
+            accepted.append((best, f.path, candidates[profile[best][1]].path))
 
     taken: set[str] = set()
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):

@@ -6,12 +6,16 @@ baseline, the scripted stub for M5 and the debate, and the fake endpoint,
 with its latency and the backoff sleeps set to no-ops, for endpoint-m5.
 Every artifact that does not hold a time, and every prompt sent, is
 compared with a committed sha256 digest. A change that alters an output on
-purpose updates the digest here and says why.
+purpose updates the digest here and says why. The order of a snapshot's
+rows must not matter either: with the rows of both CSVs shuffled, the rows
+of records.csv and predictions.csv are the same.
 """
 
+import csv
 import hashlib
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -163,3 +167,41 @@ GOLDEN = {
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN))
 def test_run_artifacts_and_prompts_are_unchanged(tmp_path, monkeypatch, name, seed):
     assert run_digests(tmp_path, monkeypatch, name, seed) == GOLDEN[name, seed]
+
+
+def shuffled_copy(src: Path, dst: Path, rng: random.Random) -> Path:
+    """A copy of a snapshot CSV with its data rows in another order."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rng.shuffle(rows)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return dst
+
+
+def sorted_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, sorted(rows)
+
+
+@pytest.mark.parametrize("seed", [11, 37])
+def test_rename_baseline_rows_are_unchanged_by_shuffled_snapshots(tmp_path, monkeypatch, seed):
+    """Files are matched in path order, so the order of the rows decides no tie."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workload = importlib.import_module("workloads").WORKLOADS["rename-baseline"]
+    paths = synth.write_pair(workload.corpus, seed, tmp_path / "pair")
+
+    def rows(old_csv: Path, new_csv: Path, out_dir: Path):
+        pipeline.run(pipeline.RunConfig(dataset="synth", old_csv=str(old_csv),
+                                        new_csv=str(new_csv), out_dir=str(out_dir),
+                                        **workload.config))
+        return [sorted_rows(out_dir / name) for name in ("records.csv", "predictions.csv")]
+
+    expected = rows(paths["old"], paths["new"], tmp_path / "out")
+    rng = random.Random(seed)
+    for k in range(3):
+        old_csv = shuffled_copy(paths["old"], tmp_path / f"old{k}.csv", rng)
+        new_csv = shuffled_copy(paths["new"], tmp_path / f"new{k}.csv", rng)
+        assert rows(old_csv, new_csv, tmp_path / f"out{k}") == expected

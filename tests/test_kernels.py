@@ -1,4 +1,7 @@
 import random
+import struct
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -51,22 +54,77 @@ def test_identical_and_empty_inputs():
     assert kernels.lcs_pairs(["a", "b"], ["a", "b"]) == [(0, 0, 2)]
 
 
+def dice_profile(query, sets):
+    index, offsets = kernels.pack_line_sets(sets)
+    return kernels.dice_batch(query, index, offsets, kernels.size_groups(offsets))
+
+
 def test_dice_batch_conventions():
-    index, offsets = kernels.pack_line_sets([set(), {"a", "b"}])
-    scores = kernels.dice_batch(set(), index, offsets)
-    assert scores == [1.0, 0.0]  # both empty; one empty
-    index, offsets = kernels.pack_line_sets([{"a", "b", "c"}])
-    scores = kernels.dice_batch({"b", "c", "d"}, index, offsets)
-    assert scores == [pytest.approx(2 * 2 / 6)]
+    assert dice_profile(set(), [set(), {"a", "b"}]) == {1.0: (1, 0), 0.0: (1, 1)}
+    assert dice_profile({"b", "c", "d"}, [{"a", "b", "c"}]) == {2 * 2 / 6: (1, 0)}
     assert kernels.pack_line_sets([]) == ({}, [0])
-    assert kernels.dice_batch({"a"}, {}, [0]) == []
+    assert kernels.dice_batch({"a"}, {}, [0], {}) == {}
 
 
 def test_common_lines_post_the_candidates_that_lack_them():
     index, offsets = kernels.pack_line_sets([{"}", "a"}, {"}", "b"}, {"}"}, {"b"}])
     assert offsets == [0, 2, 4, 5, 6]
     assert index == {"}": [4, ~3], "a": [0], "b": [1, 3]}  # "}" is held by 3 of 4
-    assert kernels.dice_batch({"}", "b"}, index, offsets) == [0.5, 1.0, 2 / 3, 2 / 3]
+    assert kernels.size_groups(offsets) == {2: [0, 1], 1: [2, 3]}
+    assert kernels.dice_batch({"}", "b"}, index, offsets, kernels.size_groups(offsets)) == {
+        0.5: (1, 0), 1.0: (1, 1), 2 / 3: (2, 2)}
+
+
+def reference_dense_dice(query, index, offsets):
+    # The dense loop that the score profile replaced: every candidate's
+    # shared-line count from the posting hits, then one score per candidate.
+    n = len(offsets) - 1
+    hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
+    shared = [hits.pop(n, 0)] * n
+    for t, count in hits.items():
+        if t >= 0:
+            shared[t] += count
+        else:
+            shared[~t] -= count
+    size = len(query)
+    scores = []
+    for inter, lo, hi in zip(shared, offsets, offsets[1:]):
+        denom = size + hi - lo
+        scores.append(2.0 * inter / denom if denom else 1.0)
+    return scores
+
+
+def score_profile(scores):
+    # the (count, first index) of each distinct score of a row, the form in
+    # which kernels.dice_batch returns a query's scores
+    return {s: (scores.count(s), scores.index(s)) for s in scores}
+
+
+def keyed_by_bytes(profile):
+    # scores as their eight bytes, so that equal keys are bit-identical floats
+    return {struct.pack("<d", s): entry for s, entry in profile.items()}
+
+
+# lines from a small pool, so with a few candidates many lines are held by
+# more than half of them and take the complement path of the index
+line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
+
+
+@given(line_sets, st.lists(line_sets, max_size=12))
+@example({"a", "b"}, [{"a", "b"}, {"a", "b", "c"}, {"a", "b"}, {"a", "d"}])  # best untouched
+@example({"z"}, [{"a"}, {"a", "b"}, {"c", "d", "e"}])  # base 0: every size scores 0
+@example({"a", "b"}, [{"a", "b"}, {"a", "c"}, {"a", "d"}])  # one size, first member touched
+@example(set(), [set(), set(), {"a"}])  # empty query and empty candidates score 1.0
+@example(set(), [])
+@example({"a", "b"}, [set("abcdef"), {"a", "x"}])  # 0.5 tie: touched first, then untouched
+@example({"a", "b"}, [{"a", "x"}, set("abcdef")])  # 0.5 tie: untouched first, then touched
+@settings(max_examples=400, deadline=None)
+def test_dice_profile_equals_dense_row(query, sets):
+    index, offsets = kernels.pack_line_sets(sets)
+    profile = kernels.dice_batch(query, index, offsets, kernels.size_groups(offsets))
+    assert all(type(score) is float for score in profile)
+    expected = score_profile(reference_dense_dice(query, index, offsets))
+    assert keyed_by_bytes(profile) == keyed_by_bytes(expected)
 
 
 def reference_pack_line_sets(sets):
@@ -138,11 +196,6 @@ def as_id_array(lines, ids):
     return np.array(sorted(ids.setdefault(ln, len(ids)) for ln in lines), dtype=np.int64)
 
 
-# lines from a small pool, so with a few candidates many lines are held by
-# more than half of them and take the complement path of the index
-line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
-
-
 @given(line_sets, st.lists(line_sets, max_size=8))
 @example(set(), [])
 @example(set(), [set(), {"a"}])
@@ -153,15 +206,17 @@ line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
 @settings(max_examples=400, deadline=None)
 def test_dice_batch_equals_per_candidate_loop(query, sets):
     index, offsets = kernels.pack_line_sets(sets)
-    scores = kernels.dice_batch(query, index, offsets)
-    assert all(type(score) is float for score in scores)
+    scores = reference_dense_dice(query, index, offsets)
     ids = {}
     flat, ref_offsets = reference_pack_line_sets([as_id_array(s, ids) for s in sets])
     ref_query = as_id_array(query, ids)
     assert offsets == ref_offsets.tolist()
     got = np.array(scores, dtype=np.float64).tobytes()
-    assert got == reference_dice(ref_query, flat, ref_offsets).tobytes()
+    expected = reference_dice(ref_query, flat, ref_offsets)
+    assert got == expected.tobytes()
     assert got == reference_member_dice_batch(ref_query, flat, ref_offsets).tobytes()
+    profile = kernels.dice_batch(query, index, offsets, kernels.size_groups(offsets))
+    assert keyed_by_bytes(profile) == keyed_by_bytes(score_profile(expected.tolist()))
 
 
 def _lcs_table(a, b):

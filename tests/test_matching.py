@@ -26,6 +26,7 @@ from test_kernels import (
     reference_dice_batch,
     reference_hashed_line_set,
     reference_pack_line_sets,
+    score_profile,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -138,7 +139,8 @@ def gap_examples(*extra):
 def test_gap_test_equals_fraction_oracle(scores, threshold, gap_multiplier):
     ranked = sorted(scores, reverse=True)
     params = MatchParams(threshold, gap_multiplier)
-    assert _gap_test_accept(ranked, params) == fraction_gap_test_accept(ranked, params)
+    assert _gap_test_accept(score_profile(ranked), params) == (
+        fraction_gap_test_accept(ranked, params))
 
 
 @given(score_lists, st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.5, 1, 2.5]),
@@ -153,8 +155,8 @@ def test_gap_test_on_shuffled_scores_equals_fraction_oracle(scores, threshold, g
     expected = fraction_gap_test_accept(ranked, params)
     shuffled = list(scores)
     rng.shuffle(shuffled)
-    assert _gap_test_accept(shuffled, params) == expected
-    assert _gap_test_accept(ranked[::-1], params) == expected  # a tied top comes last
+    assert _gap_test_accept(score_profile(shuffled), params) == expected
+    assert _gap_test_accept(score_profile(ranked[::-1]), params) == expected  # tied top last
 
 
 def reference_match_files(old_set, new_set, params=MatchParams()):
@@ -238,7 +240,7 @@ def exact_text_match_files(old_set, new_set, params):
     for f in pending:
         ranked = sorted(((dice_similarity(c, f), c.path) for c in candidates),
                         key=lambda t: -t[0])
-        if ranked and _gap_test_accept([s for s, _ in ranked], params):
+        if ranked and _gap_test_accept(score_profile([s for s, _ in ranked]), params):
             accepted.append((ranked[0][0], f.path, ranked[0][1]))
     taken, scores = set(), {}
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):

@@ -543,6 +543,23 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("bad", ["out", "records_out"])
+    def test_baseline_writes_no_output_when_one_path_cannot_be_written(self, corpus, tmp_path,
+                                                                       capsys, bad):
+        old_csv, new_csv = corpus
+        outs = tmp_path / "outs"
+        outs.mkdir()
+        kept = outs / "kept.csv"
+        kept.write_text("untouched\n", encoding="utf-8")
+        paths = {"out": outs / "p.csv", "records_out": kept}
+        paths[bad] = outs / "missing" / "x.csv"
+        assert cli_main(["baseline", "--old", str(old_csv), "--new", str(new_csv),
+                         "--out", str(paths["out"]),
+                         "--records-out", str(paths["records_out"])]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in outs.iterdir()] == ["kept.csv"]
+        assert kept.read_text(encoding="utf-8") == "untouched\n"
+
     def test_prompt_rejects_an_unknown_method_before_loading(self, tmp_path, capsys):
         # the inputs do not exist: the error must name the method, not the file
         assert cli_main(["prompt", "--old", str(tmp_path / "old.csv"), "--new",
