@@ -15,7 +15,9 @@ of each candidate they touch (the ScanCount merge of Li, Lu & Lu, ICDE
 2008). Every untouched candidate shares the same lines, so its score
 depends on its size alone: the result is a score profile, each distinct
 score with its count and first candidate, made in time proportional to the
-posting hits and the distinct candidate sizes, not the candidates.
+posting hits and the distinct candidate sizes. A query that shares no
+common line scores every untouched candidate 0.0 and takes one pass over
+the candidates instead.
 """
 
 from __future__ import annotations
@@ -70,16 +72,19 @@ def pack_line_sets(sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]
     return index, offsets
 
 
-def size_groups(offsets: Sequence[int]) -> dict[int, list[int]]:
-    """The indices of the indexed sets by set size, ascending within each size."""
-    groups: dict[int, list[int]] = {}
+def size_groups(offsets: Sequence[int]) -> dict[int, tuple[tuple[int, int], list[int]]]:
+    """The indexed sets by set size, smallest first: ((count, first), indices) per size.
+
+    The indices of a size ascend, so first is the least of them.
+    """
+    members: dict[int, list[int]] = {}
     for t, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        groups.setdefault(hi - lo, []).append(t)
-    return groups
+        members.setdefault(hi - lo, []).append(t)
+    return {width: ((len(ts), ts[0]), ts) for width, ts in sorted(members.items())}
 
 
 def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Sequence[int],
-               groups: dict[int, list[int]]) -> dict[float, tuple[int, int]]:
+               groups: dict[int, tuple[tuple[int, int], list[int]]]) -> dict[float, tuple[int, int]]:
     """The score profile of one line set against every indexed set, Dice 2|A∩B|/(|A|+|B|).
 
     The profile maps each distinct score to (count, first): how many
@@ -88,10 +93,13 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
     their posting lists gives hits[n], the query's common lines, which every
     candidate shares but for the hits[~t] that candidate t lacks, and
     hits[t], the rare lines it holds. A candidate no posting names shares
-    hits[n] lines exactly, so its score follows from its size: each size
-    group takes one division, and only the candidates the hits touched are
-    scored one by one. Two empty sets score 1.0, and an empty set against a
-    non-empty one scores 0.0.
+    hits[n] lines exactly, so its score follows from its size: the profile
+    starts as one entry per size, made in one pass that does a division per
+    size where a dense row did one per candidate, and only the candidates
+    the hits touched are moved out of their size's entry and scored one by
+    one. The sizes ascend, so their scores descend and a sort of the
+    profile finds them in order. Two empty sets score 1.0, and an empty set
+    against a non-empty one scores 0.0.
     """
     n = len(offsets) - 1
     hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
@@ -104,26 +112,38 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
         else:
             shared[~t] = shared.get(~t, base) - count
     size = len(query)
-    profile: dict[float, tuple[int, int]] = {}
-    touched: dict[int, int] = {}  # touched candidates by set size
+    if not base:  # every untouched set scores 0.0, or 1.0 for two empty sets, whatever its size
+        profile: dict[float, tuple[int, int]] = {}
+        for t, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            denom = size + hi - lo
+            score = 2.0 * shared.get(t, 0) / denom if denom else 1.0
+            seen = profile.get(score)
+            profile[score] = (seen[0] + 1, seen[1]) if seen else (1, t)
+        return profile
+    # 2b/d and 2b/(d+1) differ by more than rounding for any d below 2^52
+    # lines, so each size has its own untouched score
+    profile = {2.0 * base / (size + width): head for width, (head, _) in groups.items()}
+    stale = []  # the sizes whose first set was touched
+    scored = []
     for t, inter in shared.items():
         width = offsets[t + 1] - offsets[t]
-        touched[width] = touched.get(width, 0) + 1
         denom = size + width
-        score = 2.0 * inter / denom if denom else 1.0
+        untouched = 2.0 * base / denom
+        left, first = profile[untouched]
+        profile[untouched] = (left - 1, first)
+        if first == t:
+            stale.append(width)
+        scored.append((2.0 * inter / denom, t))
+    for width in stale:
+        untouched = 2.0 * base / (size + width)
+        left = profile[untouched][0]
+        if left:
+            profile[untouched] = (left, next(t for t in groups[width][1] if t not in shared))
+        else:
+            del profile[untouched]
+    for score, t in scored:
         seen = profile.get(score)
         profile[score] = (seen[0] + 1, min(seen[1], t)) if seen else (1, t)
-    for width, members in groups.items():
-        left = len(members) - touched.get(width, 0)
-        if not left:
-            continue
-        first = members[0]
-        if first in shared:
-            first = next(t for t in members if t not in shared)
-        denom = size + width
-        score = 2.0 * base / denom if denom else 1.0
-        seen = profile.get(score)
-        profile[score] = (seen[0] + left, min(seen[1], first)) if seen else (left, first)
     return profile
 
 

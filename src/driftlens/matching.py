@@ -11,17 +11,18 @@ line text once per run, and each query is scored against that index (see
 kernels) into a score profile: each distinct score with the number of
 candidates that have it and the first one that does. The candidates are
 grouped by line-set size once per call too, so a query costs its posting
-hits plus one division per distinct size, not one per candidate. The first
-candidate with the best score is the accepted one, so ties resolve by path
-order. Matched corpora are then partitioned into removed/added/same-source
-files and the four status-transition subsets; match_files can hand
-partition the score it kept for each similarity match.
+hits plus one division per distinct size where a dense row took one per
+candidate. The first candidate with the best score is the accepted one, so
+ties resolve by path order. Matched corpora are then partitioned into
+removed/added/same-source files and the four status-transition subsets;
+match_files can hand partition the score it kept for each similarity match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
 
 from . import kernels
@@ -142,7 +143,7 @@ def _gap_test_accept(profile: Mapping[float, tuple[int, int]], params: MatchPara
     s1 = max(profile)
     if s1 < params.threshold:
         return False
-    m = sum(count for count, _ in profile.values()) - 1
+    m = sum(map(itemgetter(0), profile.values())) - 1
     if not m:
         return True
     distinct = sorted(profile, reverse=True)

@@ -187,7 +187,13 @@ def sorted_rows(path: Path) -> tuple[list[str], list[list[str]]]:
 
 @pytest.mark.parametrize("seed", [11, 37])
 def test_rename_baseline_rows_are_unchanged_by_shuffled_snapshots(tmp_path, monkeypatch, seed):
-    """Files are matched in path order, so the order of the rows decides no tie."""
+    """The order of the snapshot rows changes no output row.
+
+    This checks only that row order is not read. It does not pin the
+    path-order tie-break: no query here ties all of its candidates at or
+    above T, the one tie the gap test accepts. TestMatchFiles in
+    test_matching.py pins that tie.
+    """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     synth = importlib.import_module("synth")
     workload = importlib.import_module("workloads").WORKLOADS["rename-baseline"]

@@ -70,8 +70,9 @@ def test_common_lines_post_the_candidates_that_lack_them():
     index, offsets = kernels.pack_line_sets([{"}", "a"}, {"}", "b"}, {"}"}, {"b"}])
     assert offsets == [0, 2, 4, 5, 6]
     assert index == {"}": [4, ~3], "a": [0], "b": [1, 3]}  # "}" is held by 3 of 4
-    assert kernels.size_groups(offsets) == {2: [0, 1], 1: [2, 3]}
-    assert kernels.dice_batch({"}", "b"}, index, offsets, kernels.size_groups(offsets)) == {
+    groups = kernels.size_groups(offsets)
+    assert list(groups.items()) == [(1, ((2, 2), [2, 3])), (2, ((2, 0), [0, 1]))]  # smallest first
+    assert kernels.dice_batch({"}", "b"}, index, offsets, groups) == {
         0.5: (1, 0), 1.0: (1, 1), 2 / 3: (2, 2)}
 
 
@@ -114,6 +115,7 @@ line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
 @example({"a", "b"}, [{"a", "b"}, {"a", "b", "c"}, {"a", "b"}, {"a", "d"}])  # best untouched
 @example({"z"}, [{"a"}, {"a", "b"}, {"c", "d", "e"}])  # base 0: every size scores 0
 @example({"a", "b"}, [{"a", "b"}, {"a", "c"}, {"a", "d"}])  # one size, first member touched
+@example({"a", "b"}, [{"a", "b"}, {"a", "b"}, {"a", "c", "d"}])  # every set of a size touched
 @example(set(), [set(), set(), {"a"}])  # empty query and empty candidates score 1.0
 @example(set(), [])
 @example({"a", "b"}, [set("abcdef"), {"a", "x"}])  # 0.5 tie: touched first, then untouched

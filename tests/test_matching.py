@@ -336,6 +336,22 @@ class TestMatchFiles:
         new = vset([lines_file("new/A.java", ["a", "b", "c", "d"])], "v2")
         assert match_files(old, new) == {"new/A.java": "old/A.java"}
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_score_tied_by_every_candidate_goes_to_the_first_path(self, order):
+        # all three score 6/8: A holds the rare line x but lacks the common
+        # line c, B and C share exactly the common lines. Every gap is zero,
+        # so the gap test accepts, and the first path wins in any row order.
+        files = [
+            lines_file("old/A.java", ["a", "b", "x", "d"]),
+            lines_file("old/B.java", ["a", "b", "c", "e"]),
+            lines_file("old/C.java", ["a", "b", "c", "f"]),
+        ]
+        old = vset([files[k] for k in order], "v1")
+        new = vset([lines_file("new/Q.java", ["a", "b", "c", "x"])], "v2")
+        kept = {}
+        assert match_files(old, new, scores=kept) == {"new/Q.java": "old/A.java"}
+        assert kept == {"new/Q.java": 0.75}
+
     def test_path_matched_old_file_not_a_similarity_candidate(self):
         # a renamed file must not steal a still-present file's identity
         content = [f"line {i}" for i in range(30)]
