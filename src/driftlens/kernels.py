@@ -15,9 +15,7 @@ of each candidate they touch (the ScanCount merge of Li, Lu & Lu, ICDE
 2008). Every untouched candidate shares the same lines, so its score
 depends on its size alone: the result is a score profile, each distinct
 score with its count and first candidate, made in time proportional to the
-posting hits and the distinct candidate sizes. A query that shares no
-common line scores every untouched candidate 0.0 and takes one pass over
-the candidates instead.
+posting hits and the distinct candidate sizes.
 """
 
 from __future__ import annotations
@@ -98,8 +96,10 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
     size where a dense row did one per candidate, and only the candidates
     the hits touched are moved out of their size's entry and scored one by
     one. The sizes ascend, so their scores descend and a sort of the
-    profile finds them in order. Two empty sets score 1.0, and an empty set
-    against a non-empty one scores 0.0.
+    profile finds them in order. Without common lines every untouched set
+    scores 0.0, whatever its size, so the profile starts as one entry. Two
+    empty sets score 1.0, and an empty set against a non-empty one scores
+    0.0.
     """
     n = len(offsets) - 1
     hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
@@ -112,17 +112,19 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
         else:
             shared[~t] = shared.get(~t, base) - count
     size = len(query)
-    if not base:  # every untouched set scores 0.0, or 1.0 for two empty sets, whatever its size
-        profile: dict[float, tuple[int, int]] = {}
-        for t, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            denom = size + hi - lo
-            score = 2.0 * shared.get(t, 0) / denom if denom else 1.0
+    if base:
+        # 2b/d and 2b/(d+1) differ by more than rounding for any d below 2^52
+        # lines, so each size has its own untouched score
+        profile = {2.0 * base / (size + width): head for width, (head, _) in groups.items()}
+    elif size:  # no common line: every untouched set scores 0.0, whatever its size
+        profile = {0.0: (n, 0)} if n else {}
+    else:  # the empty query touches nothing: 1.0 against an empty set, else 0.0
+        profile = {}
+        for width, (head, _) in groups.items():
+            score = 0.0 if width else 1.0
             seen = profile.get(score)
-            profile[score] = (seen[0] + 1, seen[1]) if seen else (1, t)
+            profile[score] = (seen[0] + head[0], min(seen[1], head[1])) if seen else head
         return profile
-    # 2b/d and 2b/(d+1) differ by more than rounding for any d below 2^52
-    # lines, so each size has its own untouched score
-    profile = {2.0 * base / (size + width): head for width, (head, _) in groups.items()}
     stale = []  # the sizes whose first set was touched
     scored = []
     for t, inter in shared.items():
@@ -138,7 +140,8 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
         untouched = 2.0 * base / (size + width)
         left = profile[untouched][0]
         if left:
-            profile[untouched] = (left, next(t for t in groups[width][1] if t not in shared))
+            pool = groups[width][1] if base else range(n)  # the sets with this untouched score
+            profile[untouched] = (left, next(t for t in pool if t not in shared))
         else:
             del profile[untouched]
     for score, t in scored:

@@ -114,6 +114,7 @@ line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
 @given(line_sets, st.lists(line_sets, max_size=12))
 @example({"a", "b"}, [{"a", "b"}, {"a", "b", "c"}, {"a", "b"}, {"a", "d"}])  # best untouched
 @example({"z"}, [{"a"}, {"a", "b"}, {"c", "d", "e"}])  # base 0: every size scores 0
+@example({"a"}, [{"a"}, {"b"}, {"c", "d"}])  # base 0, the first set touched
 @example({"a", "b"}, [{"a", "b"}, {"a", "c"}, {"a", "d"}])  # one size, first member touched
 @example({"a", "b"}, [{"a", "b"}, {"a", "b"}, {"a", "c", "d"}])  # every set of a size touched
 @example(set(), [set(), set(), {"a"}])  # empty query and empty candidates score 1.0
