@@ -6,12 +6,19 @@ CSV unescaping and UTF-8 decoding; line-level views are produced lazily by
 consumers via normalize_lines.
 
 Snapshots are read by _csv_rows, which yields the rows csv.reader yields for
-the default dialect with one regex match per field, reading _BLOCK
-characters at a time. The file is opened with newline="\n": like
-newline="", it leaves every line end as it is in the file, which the CSV
-grammar needs, and unlike newline="" it sends no decoded block through a
-universal-newline pass. One byte-order mark at the start of the file is
-skipped.
+the default dialect, reading _BLOCK characters at a time. Each block is
+split once on the quote: for the quoting csv.writer writes, the pieces at
+even places lie outside quotes and those at odd places inside, so a quoted
+field is its odd pieces joined with one quote, and only the non-empty even
+pieces hold separators. csv.reader also accepts quoting csv.writer never
+writes, a quote inside an unquoted field or text after a closing quote,
+where that split no longer tells inside from outside. A block with such a
+quote is read with one regex match per field instead, which follows
+csv.reader on any text; no snapshot that csv.writer wrote reaches it. The
+file is opened with newline="\n": like newline="", it leaves every line
+end as it is in the file, which the CSV grammar needs, and unlike
+newline="" it sends no decoded block through a universal-newline pass. One
+byte-order mark at the start of the file is skipped.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
@@ -36,6 +44,82 @@ _BLOCK = 1 << 16
 # pair, so splitting group 1 on the quote leaves an empty piece at each odd
 # place, and joining the even pieces with one quote unescapes it.
 _FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*))?|([^,\r\n]*))(,|\r\n|\n|\r|\Z)')
+# In a block's outline, where a quote stands for a whole quoted field: a quote with
+# text other than a separator on either side, which csv.writer never writes. The
+# leading quote lets the search jump from quote to quote.
+_STRAY_QUOTE = re.compile(r'"(?:(?![,\r\n]|\Z)|(?<=[^,\r\n]"))')
+
+
+def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
+    """The complete rows of a block, split once on the quote, and how many
+    characters at its end they leave; None for quoting csv.writer never writes.
+
+    When every quote opens a field, closes one or is one of a "" pair,
+    splitting on the quote puts the text outside quotes at even places and
+    the text inside at odd ones. A "" is an empty outside piece between two
+    inside ones, so only the first outside piece and the non-empty ones (the
+    bounds) hold separators, and the inside pieces between two bounds are
+    one quoted field. The outline, the bounds joined with one quote per
+    quoted field, then splits into lines and fields like CSV without quotes.
+    """
+    pieces = buf.split('"')
+    n = len(pieces)
+    outside, inside = pieces[::2], pieces[1::2]
+    bounds = [0, *compress(range(1, len(outside)), islice(outside, 1, None))]
+    outline = '"'.join(map(outside.__getitem__, bounds))
+    if bounds[-1] < len(inside):
+        outline += '"'  # a quoted field after the last bound, closed or not
+    if _STRAY_QUOTE.search(outline):
+        return None
+    if final:
+        cut = len(outline)
+    else:
+        # the complete rows end at the last line end followed by a character of
+        # the block, so a CR at its end is read again with the LF that may follow
+        cut = max(outline.rfind("\n"), outline.rfind("\r", 0, len(outline) - 1)) + 1
+        if not cut:
+            return [], len(buf)
+    fields = outline.count('"', 0, cut)
+    rest = 0
+    if not final:
+        # the cut lies in the bound after the last complete quoted field; what
+        # follows it is counted from the end of the block
+        last = bounds[fields]
+        head = cut - outline.rfind('"', 0, cut) - 1
+        rest = (len(outside[last]) - head + n - 1 - 2 * last
+                + sum(map(len, islice(pieces, 2 * last + 1, None))))
+    stops = [*bounds[1:], len(inside)]  # where each quoted field's inside pieces end
+    values = iter(['"'.join(inside[b:e]) for b, e in zip(bounds[:fields], stops)])
+    lines = outline[:cut].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [[next(values) if f == '"' else f for f in line.split(",")] if line else []
+            for line in lines], rest
+
+
+def _field_rows(buf: str, final: bool):
+    """Yield the complete rows of a block with one regex match per field, and
+    return how many characters at its end they leave."""
+    match = _FIELD.match
+    end = len(buf)
+    start = pos = 0  # where the current row and its next field begin
+    row = []
+    while row or pos < end:
+        m = match(buf, pos)
+        quoted, tail, plain, sep = m.groups()
+        pos = m.end()
+        if pos == end and not final and sep in ("", "\r"):
+            break
+        if sep != "," and not row and plain == "":
+            yield row  # a line with no fields
+        else:
+            row.append(plain if quoted is None
+                       else '"'.join(quoted.split('"')[::2]) + (tail or ""))
+            if sep == ",":
+                continue
+            yield row
+        start, row = pos, []
+    return end - start
 
 
 def _csv_rows(fh):
@@ -46,38 +130,31 @@ def _csv_rows(fh):
     open with newline="\n", which translates nothing either and, unlike
     newline="", sends no block through a universal-newline pass.
 
-    A row cut by the end of a block, or by a block that ends in a carriage
-    return (which may start a CRLF), is parsed again with the next block
-    appended. That read is at least as long as the text carried over, so a
-    field spanning many blocks is still read in linear time.
+    Each block is split once on the quote (_split_rows). A block with a
+    quote inside an unquoted field or text after a closing quote goes
+    through one regex match per field (_field_rows) instead, which alone
+    follows csv.reader there. A quote left open at the end of the file needs
+    neither: like csv.reader, both run its field to the end. The rows cut by
+    the end of a block, or by a block that ends in a carriage return (which
+    may start a CRLF), are parsed again with the next block appended. That
+    read is at least as long as the text carried over, so a field spanning
+    many blocks is still read in linear time, and memory stays bounded by a
+    block and the longest row.
     """
-    match = _FIELD.match
     buf = ""
     while True:
         chunk = fh.read(max(_BLOCK, len(buf)))
         final = not chunk
         buf += chunk
-        end = len(buf)
-        start = pos = 0  # where the current row and its next field begin
-        row = []
-        while row or pos < end:
-            m = match(buf, pos)
-            quoted, tail, plain, sep = m.groups()
-            pos = m.end()
-            if pos == end and not final and sep in ("", "\r"):
-                break
-            if sep != "," and not row and plain == "":
-                yield row  # a line with no fields
-            else:
-                row.append(plain if quoted is None
-                           else '"'.join(quoted.split('"')[::2]) + (tail or ""))
-                if sep == ",":
-                    continue
-                yield row
-            start, row = pos, []
+        split = _split_rows(buf, final)
+        if split is None:
+            rest = yield from _field_rows(buf, final)
+        else:
+            rows, rest = split
+            yield from rows
         if final:
             return
-        buf = buf[start:]
+        buf = buf[len(buf) - rest:]
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,28 @@ def test_load_version_equals_csv_reader_loader(tmp_path_factory, tokens, block):
         assert outcome(loaded, path) == outcome(reference_load_version, path)
 
 
+def _no_regex_rows(buf, final):
+    raise AssertionError(f"text csv.writer wrote went to the regex tokenizer: {buf!r}")
+
+
+_WRITER_FIELDS = st.text(alphabet=['a', '"', ',', '\r', '\n', '\u00e9', '\U0001f600'], max_size=8)
+
+
+@given(st.lists(st.lists(_WRITER_FIELDS, min_size=1, max_size=4), max_size=8),
+       st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+       st.sampled_from(["\r\n", "\n", "\r"]),
+       st.sampled_from([1, 2, 3, 7, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_csv_rows_split_what_csv_writer_writes(rows, quoting, terminator, block):
+    out = io.StringIO(newline="")
+    csv.writer(out, quoting=quoting, lineterminator=terminator).writerows(rows)
+    text = out.getvalue()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_BLOCK", block)
+        mp.setattr(corpus, "_field_rows", _no_regex_rows)
+        assert rows_of(text) == reader_rows(text)
+
+
 class _CountedReads(io.StringIO):
     def __init__(self, text):
         super().__init__(text, newline="")
@@ -266,6 +288,22 @@ def test_quoted_field_over_many_blocks_reads_in_linear_time(monkeypatch):
     assert sum(fh.sizes) <= 2 * len(text)
 
 
+def test_irregular_quoting_over_many_blocks_reads_in_linear_time(monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK", 4)
+    # text after a closing quote, then a quote inside an unquoted field
+    stray = ('A.java,0,"x"tail\r\n', 'B.java,1,a"b\r\n')
+    lines = ["name,bug,src\r\n", *(stray[i % 2] for i in range(500)),
+             'C.java,0,"say ""hi"",\r\n"\r\n', "D.java,1,d\r\n"]
+    text = "".join(lines)
+    fh = _CountedReads(text)
+    assert list(_csv_rows(fh)) == reader_rows(text)
+    assert sum(fh.sizes) <= 2 * len(text)
+    # each row costs reads logarithmic in its length, and none carries the
+    # text of a later row: a stray quote does not make the rest of the file one row
+    assert len(fh.sizes) <= sum((len(line) // 4).bit_length() + 2 for line in lines)
+    assert max(fh.sizes) <= max(map(len, lines))
+
+
 @pytest.mark.parametrize("block", [1, 5, 1 << 16])
 def test_unclosed_quote_runs_to_end_of_file(tmp_path, monkeypatch, block):
     monkeypatch.setattr(corpus, "_BLOCK", block)
@@ -286,24 +324,33 @@ def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monk
 
 
 # a \r\n and a "" pair split by the real block edge, and a 4-byte character whose
-# bytes straddle it, inside a quoted field; and a row's \r\n line end split by it
+# bytes straddle it, inside a quoted field; a row's \r\n line end after a quoted
+# field split by it; a closing quote and its comma split by it; the two quotes of a
+# "" that opens a field's value split by it; and an unquoted row's \r\n, so that
+# at shift -1 the block ends just after the \n and nothing outside quotes is left
 _EDGE_CASES = [("\r\n", "quoted"), ('""', "quoted"), ("\U0001f600", "quoted"),
-               ("\r\n", "line end")]
+               ("\r\n", "line end"), ('",', "closing"), ('""', "opening"),
+               ("\r\n", "row end")]
+# the text before the filler, between the filler and the piece, and after the piece
+_EDGE_TEXTS = {
+    "quoted": ('name,bug,src\r\nA.java,0,"', "", 'x"\r\nB.java,1,"b"""\r\n'),
+    "line end": ('name,bug,src\r\nA.java,0,"', '"', "B.java,1,b\r\n"),
+    "closing": ('name,src,bug\r\nA.java,"', "", '0\r\nB.java,"b",1\r\n'),
+    "opening": ('name,bug,src\r\nA.java,0,"', '"\r\nB.java,1,"', 'x"\r\n'),
+    "row end": ('name,bug,src\r\nA.java,0,"', 'x"\r\nB.java,1,b', '"C.java",0,"c"\r\n'),
+}
 
 
 @pytest.mark.parametrize("piece,where", _EDGE_CASES)
 @pytest.mark.parametrize("shift", [-2, -1, 0, 1])
 def test_load_version_equals_csv_reader_loader_at_the_real_block_edge(tmp_path, piece, where,
                                                                       shift):
-    prefix = 'name,bug,src\r\nA.java,0,"'
+    head, middle, tail = _EDGE_TEXTS[where]
     at = corpus._BLOCK - 1 + shift  # the character index the piece starts at
-    filler_size = at - len(prefix) - (where == "line end")
+    filler_size = at - len(head) - len(middle)
     filler = ("int x = 1;\n" * (filler_size // 11 + 1))[:filler_size]
-    if where == "quoted":
-        text = f'{prefix}{filler}{piece}x"\r\nB.java,1,"b"""\r\n'
-    else:
-        text = f'{prefix}{filler}"{piece}B.java,1,b\r\n'
-    assert text.index(piece, len(prefix) + filler_size) == at
+    text = f"{head}{filler}{middle}{piece}{tail}"
+    assert text[at:at + len(piece)] == piece and len(head + filler + middle) == at
     p = tmp_path / "v.csv"
     p.write_bytes(text.encode("utf-8"))
     assert len(text) > corpus._BLOCK
@@ -311,6 +358,8 @@ def test_load_version_equals_csv_reader_loader_at_the_real_block_edge(tmp_path, 
     assert got == reference_load_version(p)
     if where == "quoted":
         assert got[0][1].endswith(piece.replace('""', '"') + "x")
+    if where == "opening":
+        assert got[1][1] == '"x'
 
 
 def _quote_run_texts():
