@@ -6,7 +6,10 @@ the brackets of the masked text pairs every `(` and `{` with its closer.
 Methods are located by two signature regexes anchored on line starts; a
 signature's parameter list and body extents are then partner lookups, and
 each span keeps its masked body. A same-file, name-based call graph counts
-the `name(` tokens of each masked body in a single scan. Context expansion
+the `name(` tokens of each masked body in a single scan. The scanning
+patterns do not backtrack: a run is possessive (`*+`, `++`) wherever the
+item after it cannot start with what it consumed, and only the signature
+modifiers give text back, as `public static Foo(` needs. Context expansion
 walks callers and callees outward from the methods touching changed lines,
 one wave per depth unit, and renders the visited bodies under a line
 budget.
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, count
+from operator import add
 
 RAW_WINDOW = 3  # lines kept around changed lines that fall outside any method
 
@@ -30,27 +34,34 @@ _CONTROL_KEYWORDS = frozenset({
 })
 
 # The signature regexes scan "\n" + masked text, so a match starts at a
-# line start and ends at the "(" opening its parameter list. Indentation is
-# taken whole: no item after it can start with a blank.
+# line start and ends at the "(" opening its parameter list. Each "*+" or
+# "++" below is exact: the item after it cannot start with a character it
+# consumed. Only the modifier run backtracks: `public static Foo(` matches
+# `static` as the return type.
 _SIG_RE = re.compile(
-    r"\n[ \t]*(?![ \t])"
-    r"((?:(?:" + "|".join(_MODIFIERS) + r")\s+)*)"     # modifiers
-    r"([\w$][\w$.<>\[\], \t?&]*?)[ \t]+"               # return type, same line only
-    r"([A-Za-z_$][\w$]*)[ \t]*\("                      # method name
+    r"\n[ \t]*+"                                       # indent, then a word char
+    r"((?:(?:" + "|".join(_MODIFIERS) + r")\s++)*)"    # modifiers, each then a word char
+    r"([\w$][\w$.<>\[\], \t?&]*?)[ \t]++"             # return type, same line only
+    r"([A-Za-z_$][\w$]*+)[ \t]*+\("                    # name, then blanks, then "("
 )
+# A constructor's name opens with a capital and every modifier with a small
+# letter, so giving a modifier back leaves no name to match: "++" is exact.
 _CTOR_RE = re.compile(
-    r"\n[ \t]*(?![ \t])"
-    r"((?:(?:public|protected|private|static|final|synchronized)\s+)+)"
-    r"([A-Z][\w$]*)\s*\("
+    r"\n[ \t]*+"
+    r"((?:(?:public|protected|private|static|final|synchronized)\s++)++)"
+    r"([A-Z][\w$]*+)\s*+\("
 )
 # Comments and literals, leftmost first. A literal captures its body and
 # pairs each backslash with the next character; an unterminated comment or
-# literal runs to the end of the text.
+# literal runs to the end of the text. A block comment takes runs of
+# non-stars and stars not before "/", so it stops at its first "*/". Every
+# run is followed by a character it excludes or by an optional tail, so no
+# run is retried shorter.
 _MASKED_RE = re.compile(
-    r"//[^\n]*"
-    r"|/\*.*?(?:\*/|\Z)"
-    r'|"([^"\\]*(?:\\.?[^"\\]*)*)"?'
-    r"|'([^'\\]*(?:\\.?[^'\\]*)*)'?",
+    r"//[^\n]*+"
+    r"|/\*[^*]*+(?:\*(?!/)[^*]*+)*+(?:\*/)?+"
+    r'|"([^"\\]*+(?:\\.?[^"\\]*+)*+)"?'
+    r"|'([^'\\]*+(?:\\.?[^'\\]*+)*+)'?",
     re.DOTALL,
 )
 _NOT_NEWLINE_RE = re.compile(r"[^\n]+")
@@ -58,8 +69,9 @@ _LITERAL_BODY_RE = re.compile(r"\\.?|[^\\\n]+", re.DOTALL)
 _BODY_OR_END_RE = re.compile(r"[{;]")
 _BRACKET_RE = re.compile(r"[(){}]")
 # an identifier not preceded by one of its own characters, then "(";
-# leading with the class lets the scan skip straight to identifier starts
-_CALL_RE = re.compile(r"([A-Za-z_$](?<![\w$].)[\w$]*)\s*\(")
+# leading with the class lets the scan skip straight to identifier starts;
+# the name's run is followed by a blank or "(", and the blanks by "("
+_CALL_RE = re.compile(r"([A-Za-z_$](?<![\w$].)[\w$]*+)\s*+\(")
 
 
 @dataclass(frozen=True)
@@ -154,9 +166,7 @@ def extract_methods(source: str) -> list[MethodSpan]:
     lines = source.split("\n")
     # offsets of each line start, then one past the end; masking keeps every
     # offset but may blank a newline, so both texts are cut by source lines
-    line_starts = [0]
-    for ln in lines:
-        line_starts.append(line_starts[-1] + len(ln) + 1)
+    line_starts = list(map(add, accumulate(map(len, lines), initial=0), count()))
 
     partner = _partners(masked)
     # a match in text starts at its line's start in masked offsets, and
@@ -213,11 +223,14 @@ def build_call_graph(methods: list[MethodSpan]) -> CallGraph:
     starts = [s.start_line for s in by_start]
     edges: dict[tuple[str, str], None] = {}
     for span in methods:
-        calls = Counter(_CALL_RE.findall(span.masked_body))
-        declared = by_start[bisect_left(starts, span.start_line):
-                            bisect_right(starts, span.end_line)]
-        calls.subtract(s.name for s in declared)
-        callees = [name for name, n in calls.items() if n > 0 and name in rank]
+        found = _CALL_RE.findall(span.masked_body)
+        callees = rank.keys() & found
+        # only a name declared inside the span, usually its own, needs counts
+        declared = [s.name for s in by_start[bisect_left(starts, span.start_line):
+                                             bisect_right(starts, span.end_line)]]
+        for name in callees.intersection(declared):
+            if found.count(name) <= declared.count(name):
+                callees.discard(name)
         for name in sorted(callees, key=rank.__getitem__):
             edges[(span.name, name)] = None
     return CallGraph(nodes=tuple(rank), edges=tuple(edges))

@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlens import context
@@ -144,6 +144,16 @@ class TestMasking:
         assert mask_source("'\\") == "' "
 
     @given(st.text(alphabet="/*\"'\\\n{}()a", max_size=80))
+    @example("/*/ a")
+    @example("a /**/ b")
+    @example("/* ** */ a")
+    @example("/** a **/ b")
+    @example("/* *")
+    @example('"a\\')
+    @example('"a\\\\')
+    @example("'a\\")
+    @example("'\\'")
+    @example("'\\\\' a")
     @settings(max_examples=600, deadline=None)
     def test_equals_reference_masker(self, source):
         assert mask_source(source) == reference_mask(source)
@@ -597,7 +607,8 @@ SIGNATURE_HEADS = ("\npublic static int foo(", "\n  private Foo(", "\n\tvoid bar
 SIGNATURE_TAILS = (") {", ")\n{", ") throws X {", "int a, int b) {", ");", ")", "(", "{")
 BODY_CHUNKS = ("\n", "    ", "\t", "public ", "static ", "final ", "int ", "return ", "foo(1);",
                "bar (x);", "Foo();", "baz$();", "é9();", "(", ")", "{", "}", ";", ", ", "9",
-               "$", "é", "x", '"a(}"', "'{'", '"\\\n"', "// c(\n", "/* } { */", "/* ")
+               "$", "é", "x", '"a(}"', "'{'", '"\\\n"', "// c(\n", "/* } { */", "/* ",
+               "/** a **/", "\tfoo\t(")
 SIGNATURE_ENDS = ("\n}", "}", "\n}\n", "}}", "")
 
 
@@ -633,6 +644,14 @@ class TestOnePassOracles:
         assert _partners(text) == expected
 
     @given(java_like())
+    @example("void foo\t(x) {}")
+    @example("public Foo\n() {}")
+    @example("int $a$() {}\n$a$(")
+    @example("int 9a() {}\n9a(")
+    @example("public static Foo() {}")
+    @example("public\n  static\tFoo (")
+    @example("int foo")
+    @example("public Foo")
     @settings(max_examples=300, deadline=None)
     def test_signature_patterns_equal_line_anchored_originals(self, source):
         masked = mask_source(source)
@@ -643,6 +662,11 @@ class TestOnePassOracles:
             assert got == want
 
     @given(java_like())
+    @example("foo\t(")
+    @example("public Foo\n(")
+    @example("$a$(")
+    @example("9a(")
+    @example("x(1); foo")
     @settings(max_examples=300, deadline=None)
     def test_call_pattern_equals_lookbehind_original(self, source):
         masked = mask_source(source)
