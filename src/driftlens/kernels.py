@@ -9,23 +9,24 @@ per machine word. One walk-back reads either table, emits one matching
 block per diagonal run, and uses line_hash64 only to break ties, so both
 give the same blocks. Every common run is found by galloping slice
 compares. Dice scores one query's line set against every candidate through
-an inverted index keyed by line text, so equal keys mean equal text: one
-Counter over the posting lists of the query's lines counts the shared lines
-of each candidate they touch (the ScanCount merge of Li, Lu & Lu, ICDE
-2008). Every untouched candidate shares the same lines, so its score
-depends on its size alone: the result is a score profile, each distinct
-score with its count and first candidate, made in time proportional to the
-posting hits and the distinct candidate sizes.
+an inverted index keyed by line text, so equal keys mean equal text. Most
+lines belong to one candidate, so the index keeps those as that candidate's
+number and only the rest as posting lists. One Counter over the query's
+single holders and posting lists counts the shared lines of each candidate
+they touch (the ScanCount merge of Li, Lu & Lu, ICDE 2008). Every untouched
+candidate shares the same lines, so its score depends on its size alone:
+the result is a score profile, each distinct score with its count and first
+candidate, made in time proportional to the posting hits and the distinct
+candidate sizes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable, Collection, Iterable, Sequence
 from itertools import chain, count
 from math import isqrt
-from typing import Callable, Collection, Iterable, Sequence
 
 # LCS size guard: middles larger than this many cells (after common
 # prefix/suffix stripping) are treated as one opaque replace block instead of
@@ -40,34 +41,56 @@ LCS_CELL_BUDGET = 16_000_000
 BACKEND = "python"
 
 
+# hashlib.blake2b, bound on the first line_hash64 call: importing hashlib
+# loads OpenSSL, which a run that breaks no LCS tie does not need
+_blake2b = None
+
+
 def line_hash64(line: str) -> int:
     """Stable 64-bit content hash of one line (process-independent)."""
-    digest = hashlib.blake2b(line.encode("utf-8"), digest_size=8).digest()
+    global _blake2b
+    if _blake2b is None:
+        from hashlib import blake2b as _blake2b
+    digest = _blake2b(line.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little", signed=True)
 
 
-def pack_line_sets(sets: Iterable[Collection[str]]) -> tuple[dict[str, list[int]], list[int]]:
-    """Inverted index of candidate line sets, and offsets[t+1] - offsets[t] = |set t|.
+LineIndex = tuple[dict[str, int], dict[str, list[int]]]
 
-    With n candidates, a line held by at most half of them posts the
-    candidates t that hold it. A line held by more posts the shared base key
-    n and then ~t for each candidate t that lacks it, so the common lines of
-    a file (braces, blank lines, imports) cost no more than the rare ones.
-    The sets are read once, in order, so they may be made one at a time.
+
+def pack_line_sets(sets: Iterable[Collection[str]]) -> tuple[LineIndex, list[int]]:
+    """Inverted index (single, multi) of line sets, and offsets[t+1] - offsets[t] = |set t|.
+
+    single maps a line that one candidate holds to that candidate t; most
+    lines of a file are its own, so they cost no list. multi posts the
+    lines held by two or more of the n candidates: a line held by at most
+    half of them posts the candidates t that hold it, and a line held by
+    more posts the shared base key n and then ~t for each candidate t that
+    lacks it, so the common lines of a file (braces, blank lines, imports)
+    cost no more than the rare ones. The sets are read once, in order, so
+    they may be made one at a time.
     """
     offsets = [0]
-    index: dict[str, list[int]] = {}
+    single: dict[str, int] = {}
+    multi: dict[str, list[int]] = {}
     for t, lines in enumerate(sets):
         offsets.append(offsets[t] + len(lines))
         for line in lines:
-            index.setdefault(line, []).append(t)
+            first = single.setdefault(line, t)
+            if first != t:  # a later holder; the first stays in single until the end
+                holders = multi.get(line)
+                if holders is None:
+                    multi[line] = [first, t]
+                else:
+                    holders.append(t)
     n = len(offsets) - 1
     lacking = [~t for t in range(n)]
-    for line, holders in index.items():
+    for line, holders in multi.items():
+        del single[line]
         if 2 * len(holders) > n:
             held = set(holders)
-            index[line] = [n, *(lacking[t] for t in range(n) if t not in held)]
-    return index, offsets
+            multi[line] = [n, *(lacking[t] for t in range(n) if t not in held)]
+    return (single, multi), offsets
 
 
 def size_groups(offsets: Sequence[int]) -> dict[int, tuple[tuple[int, int], list[int]]]:
@@ -81,16 +104,17 @@ def size_groups(offsets: Sequence[int]) -> dict[int, tuple[tuple[int, int], list
     return {width: ((len(ts), ts[0]), ts) for width, ts in sorted(members.items())}
 
 
-def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Sequence[int],
+def dice_batch(query: Collection[str], index: LineIndex, offsets: Sequence[int],
                groups: dict[int, tuple[tuple[int, int], list[int]]]) -> dict[float, tuple[int, int]]:
     """The score profile of one line set against every indexed set, Dice 2|A∩B|/(|A|+|B|).
 
     The profile maps each distinct score to (count, first): how many
-    indexed sets score it, and the least index of one that does. groups is
-    size_groups(offsets). The query holds distinct lines. One Counter over
-    their posting lists gives hits[n], the query's common lines, which every
-    candidate shares but for the hits[~t] that candidate t lacks, and
-    hits[t], the rare lines it holds. A candidate no posting names shares
+    indexed sets score it, and the least index of one that does. index is
+    pack_line_sets' (single, multi) and groups is size_groups(offsets). The
+    query holds distinct lines. One Counter over their single holders and
+    their multi posting lists gives hits[n], the query's common lines, which
+    every candidate shares but for the hits[~t] that candidate t lacks, and
+    hits[t], the rare lines it holds. A candidate no line names shares
     hits[n] lines exactly, so its score follows from its size: the profile
     starts as one entry per size, made in one pass that does a division per
     size where a dense row did one per candidate, and only the candidates
@@ -102,7 +126,10 @@ def dice_batch(query: Collection[str], index: dict[str, list[int]], offsets: Seq
     0.0.
     """
     n = len(offsets) - 1
-    hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
+    single, multi = index
+    hits = Counter(map(single.get, query))
+    del hits[None]  # the query's lines that no single holder has; Counter ignores a missing key
+    hits.update(chain.from_iterable(filter(None, map(multi.get, query))))
     # dict methods only: Counter's missing-key lookup is a Python call per read
     base = hits.pop(n, 0)
     shared: dict[int, int] = {}

@@ -21,9 +21,9 @@ match_files can hand partition the score it kept for each similarity match.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping
 
 from . import kernels
 from .corpus import VersionedFile, VersionSet

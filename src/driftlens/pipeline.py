@@ -12,11 +12,9 @@ import csv
 import inspect
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from . import __version__
 from .baselines import BASELINE_KINDS, predict_naive
@@ -144,7 +142,8 @@ class RunConfig:
         return caps
 
 
-FIELD_TYPES = get_type_hints(RunConfig)
+# every field's default is of its annotated type, so no annotation is evaluated
+FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str, lineno: int):
@@ -320,6 +319,9 @@ def _map_records(fn, records, config: RunConfig, client) -> list[PredictionRow]:
     if isinstance(client, ScriptedChatClient) or config.max_in_flight <= 1:
         rows = [fn(r) for r in records]
     else:
+        # only live runs get here; importing the pool loads logging too
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             rows = list(pool.map(fn, records))
     return rows

@@ -1,7 +1,5 @@
 import random
 import struct
-from collections import Counter
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -62,36 +60,29 @@ def dice_profile(query, sets):
 def test_dice_batch_conventions():
     assert dice_profile(set(), [set(), {"a", "b"}]) == {1.0: (1, 0), 0.0: (1, 1)}
     assert dice_profile({"b", "c", "d"}, [{"a", "b", "c"}]) == {2 * 2 / 6: (1, 0)}
-    assert kernels.pack_line_sets([]) == ({}, [0])
-    assert kernels.dice_batch({"a"}, {}, [0], {}) == {}
+    assert kernels.pack_line_sets([]) == (({}, {}), [0])
+    assert kernels.dice_batch({"a"}, ({}, {}), [0], {}) == {}
 
 
 def test_common_lines_post_the_candidates_that_lack_them():
     index, offsets = kernels.pack_line_sets([{"}", "a"}, {"}", "b"}, {"}"}, {"b"}])
     assert offsets == [0, 2, 4, 5, 6]
-    assert index == {"}": [4, ~3], "a": [0], "b": [1, 3]}  # "}" is held by 3 of 4
+    # "a" has one holder; "}" is held by 3 of 4, "b" by 2 of 4
+    assert index == ({"a": 0}, {"}": [4, ~3], "b": [1, 3]})
     groups = kernels.size_groups(offsets)
     assert list(groups.items()) == [(1, ((2, 2), [2, 3])), (2, ((2, 0), [0, 1]))]  # smallest first
     assert kernels.dice_batch({"}", "b"}, index, offsets, groups) == {
         0.5: (1, 0), 1.0: (1, 1), 2 / 3: (2, 2)}
 
 
-def reference_dense_dice(query, index, offsets):
-    # The dense loop that the score profile replaced: every candidate's
-    # shared-line count from the posting hits, then one score per candidate.
-    n = len(offsets) - 1
-    hits = Counter(chain.from_iterable(filter(None, map(index.get, query))))
-    shared = [hits.pop(n, 0)] * n
-    for t, count in hits.items():
-        if t >= 0:
-            shared[t] += count
-        else:
-            shared[~t] -= count
+def reference_dense_dice(query, sets):
+    # One score per candidate from its own line set, as the dense loop that
+    # the score profile replaced scored them; it reads no index.
     size = len(query)
     scores = []
-    for inter, lo, hi in zip(shared, offsets, offsets[1:]):
-        denom = size + hi - lo
-        scores.append(2.0 * inter / denom if denom else 1.0)
+    for s in sets:
+        denom = size + len(s)
+        scores.append(2.0 * len(query & s) / denom if denom else 1.0)
     return scores
 
 
@@ -121,12 +112,17 @@ line_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
 @example(set(), [])
 @example({"a", "b"}, [set("abcdef"), {"a", "x"}])  # 0.5 tie: touched first, then untouched
 @example({"a", "b"}, [{"a", "x"}, set("abcdef")])  # 0.5 tie: untouched first, then touched
+@example({"a"}, [{"a", "b"}, {"c"}, {"a"}, {"d"}])  # candidate 0 first holds a line 2 holds
+@example({"a", "c"}, [{"a"}, {"b"}, {"a", "c"}, {"b"}])  # "a" held by exactly n/2: holder list
+@example({"a", "c"}, [{"a"}, {"b"}, {"a", "c"}, {"a"}])  # "a" held by n/2 + 1: complement
+@example({"a"}, [set(), set()])  # empty candidate sets against a non-empty query
+@example(set(), [set(), set()])
 @settings(max_examples=400, deadline=None)
 def test_dice_profile_equals_dense_row(query, sets):
     index, offsets = kernels.pack_line_sets(sets)
     profile = kernels.dice_batch(query, index, offsets, kernels.size_groups(offsets))
     assert all(type(score) is float for score in profile)
-    expected = score_profile(reference_dense_dice(query, index, offsets))
+    expected = score_profile(reference_dense_dice(query, sets))
     assert keyed_by_bytes(profile) == keyed_by_bytes(expected)
 
 
@@ -209,7 +205,7 @@ def as_id_array(lines, ids):
 @settings(max_examples=400, deadline=None)
 def test_dice_batch_equals_per_candidate_loop(query, sets):
     index, offsets = kernels.pack_line_sets(sets)
-    scores = reference_dense_dice(query, index, offsets)
+    scores = reference_dense_dice(query, sets)
     ids = {}
     flat, ref_offsets = reference_pack_line_sets([as_id_array(s, ids) for s in sets])
     ref_query = as_id_array(query, ids)
@@ -351,6 +347,9 @@ def test_cell_budget_boundary(monkeypatch):
 def test_line_hash_is_stable():
     assert kernels.line_hash64("total += arr[i];") == kernels.line_hash64("total += arr[i];")
     assert kernels.line_hash64("a") != kernels.line_hash64("b")
+    # the walk-back's tie-break reads these values, so they must not drift
+    assert kernels.line_hash64("total += arr[i];") == -792749621354166822
+    assert kernels.line_hash64("}") == -7017959200759399115
 
 
 @st.composite

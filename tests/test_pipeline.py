@@ -5,6 +5,8 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
+import typing
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,10 @@ class TestConfig:
                              roles="judge=other-model")
         parsed = config_from_lines(config_lines(config))
         assert parsed == config
+
+    def test_field_types_are_the_annotations(self):
+        """FIELD_TYPES reads each default's type, which must be the field's annotated type."""
+        assert pipeline.FIELD_TYPES == typing.get_type_hints(RunConfig)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -212,6 +218,39 @@ class TestMethodRun:
         report, _ = pipeline.run(config, client=client)
         assert len(calls) == 4
         assert report.subset_accuracy["D01"] == 1.0
+
+    def test_threaded_live_run_equals_sequential(self, corpus, tmp_path):
+        """max_in_flight > 1 maps records on a thread pool: same predictions, capped overlap."""
+        lock = threading.Lock()
+        overlapped = threading.Event()
+        calls = {"in_flight": 0, "peak": 0}
+
+        def transport(url, headers, payload, timeout):
+            with lock:
+                calls["in_flight"] += 1
+                calls["peak"] = max(calls["peak"], calls["in_flight"])
+                if calls["in_flight"] >= 2:
+                    overlapped.set()
+            if width > 1:  # the first call waits for a second, so the two overlap
+                overlapped.wait(timeout=5)
+            with lock:
+                calls["in_flight"] -= 1
+            prompt = payload["messages"][1]["content"]
+            label = "Defective" if len(prompt) % 2 else "Benign"
+            return 200, {"choices": [{"message": {"content":
+                f'{{"explanation": "e", "prediction": "{label}"}}'}}]}
+
+        outputs = []
+        for width in (1, 2):
+            config = base_config(corpus, tmp_path, method="M5", stub=False, max_in_flight=width,
+                                 out_dir=str(tmp_path / f"out{width}"))
+            _, artifacts = pipeline.run(config, client=pipeline.make_client(config, transport))
+            outputs.append(artifacts["predictions"].read_bytes())
+            assert calls["peak"] == width
+            calls["peak"] = 0
+        assert outputs[0] == outputs[1]
+        rows = csv.DictReader(outputs[0].decode().splitlines())
+        assert {row["pred_label"] for row in rows} == {"0", "1"}  # replies differ per record
 
 
 class TestDebateRun:
@@ -375,14 +414,21 @@ class TestArtifactReaders:
 
 class TestCli:
     def test_cli_import_loads_no_numpy(self):
-        """Every driftlens call pays for what `import driftlens.cli` loads."""
+        """Every driftlens call pays for what `import driftlens.cli` loads.
+
+        numpy is never needed; the thread pool, hashlib (OpenSSL) and typing
+        load only when a run needs them. -S keeps site from importing
+        modules of its own (a .pth file may import typing) before the probe
+        looks.
+        """
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = "import sys, driftlens.cli; print('numpy' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+        unused = ("numpy", "concurrent.futures", "logging", "hashlib", "_hashlib", "typing")
+        probe = f"import sys, driftlens.cli; print([m for m in {unused!r} if m in sys.modules])"
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_match_and_partition(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
