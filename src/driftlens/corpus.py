@@ -12,21 +12,24 @@ even places lie outside quotes and those at odd places inside, so a quoted
 field is its odd pieces joined with one quote, and only the non-empty even
 pieces hold separators. csv.reader also accepts quoting csv.writer never
 writes, a quote inside an unquoted field or text after a closing quote,
-where that split no longer tells inside from outside. A block with such a
-quote is read with one regex match per field instead, which follows
-csv.reader on any text; no snapshot that csv.writer wrote reaches it. The
-file is opened with newline="\n": like newline="", it leaves every line
-end as it is in the file, which the CSV grammar needs, and unlike
-newline="" it sends no decoded block through a universal-newline pass. One
-byte-order mark at the start of the file is skipped.
+where that split no longer tells inside from outside. From the first block
+with such a quote on, csv.reader itself reads the rest of the file; no
+snapshot that csv.writer wrote reaches it. The file is opened with
+newline="\n": like newline="", it leaves every line end as it is in the
+file, which the CSV grammar needs, and unlike newline="" it sends no
+decoded block through a universal-newline pass. One byte-order mark at the
+start of the file is skipped.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
+import threading
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
@@ -37,17 +40,17 @@ SOURCE_COLUMNS = ("src", "SRC")
 
 # Characters per read; a row longer than a block is read with larger reads.
 _BLOCK = 1 << 16
-# One field and the separator after it. A quoted field is group 1 with each
-# "" made ", plus group 2, the text after its closing quote, which csv.reader
-# keeps as it is; an unquoted field is group 3. An unclosed quote runs to the
-# end of the text, as in csv.reader. Every quote in group 1 is one of a ""
-# pair, so splitting group 1 on the quote leaves an empty piece at each odd
-# place, and joining the even pieces with one quote unescapes it.
-_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*))?|([^,\r\n]*))(,|\r\n|\n|\r|\Z)')
 # In a block's outline, where a quote stands for a whole quoted field: a quote with
 # text other than a separator on either side, which csv.writer never writes. The
 # leading quote lets the search jump from quote to quote.
 _STRAY_QUOTE = re.compile(r'"(?:(?![,\r\n]|\Z)|(?<=[^,\r\n]"))')
+# Where newline="" ends a line that newline="\n" does not: after a carriage
+# return that no line feed follows.
+_LONE_CR = re.compile(r"(?<=\r)(?!\n)")
+# csv.field_size_limit while _reader_rows parses, and the lock that keeps two
+# parses from restoring each other's limit.
+_NO_FIELD_LIMIT = 2**31 - 1
+_FIELD_LIMIT_LOCK = threading.Lock()
 
 
 def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
@@ -97,29 +100,21 @@ def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
             for line in lines], rest
 
 
-def _field_rows(buf: str, final: bool):
-    """Yield the complete rows of a block with one regex match per field, and
-    return how many characters at its end they leave."""
-    match = _FIELD.match
-    end = len(buf)
-    start = pos = 0  # where the current row and its next field begin
-    row = []
-    while row or pos < end:
-        m = match(buf, pos)
-        quoted, tail, plain, sep = m.groups()
-        pos = m.end()
-        if pos == end and not final and sep in ("", "\r"):
-            break
-        if sep != "," and not row and plain == "":
-            yield row  # a line with no fields
-        else:
-            row.append(plain if quoted is None
-                       else '"'.join(quoted.split('"')[::2]) + (tail or ""))
-            if sep == ",":
-                continue
-            yield row
-        start, row = pos, []
-    return end - start
+def _reader_rows(buf: str, fh) -> list[list[str]]:
+    """The rows csv.reader reads from buf, which starts at a row, and the rest of fh.
+
+    Each line is also split after a carriage return that no line feed
+    follows, as newline="" would cut it. The field size limit is lifted only
+    while the list is built.
+    """
+    text = chain(io.StringIO(buf + fh.readline(), newline="\n"), fh)
+    lines = (piece for line in text for piece in _LONE_CR.split(line) if piece)
+    with _FIELD_LIMIT_LOCK:
+        previous = csv.field_size_limit(_NO_FIELD_LIMIT)
+        try:
+            return list(csv.reader(lines))
+        finally:
+            csv.field_size_limit(previous)
 
 
 def _csv_rows(fh):
@@ -130,16 +125,19 @@ def _csv_rows(fh):
     open with newline="\n", which translates nothing either and, unlike
     newline="", sends no block through a universal-newline pass.
 
-    Each block is split once on the quote (_split_rows). A block with a
-    quote inside an unquoted field or text after a closing quote goes
-    through one regex match per field (_field_rows) instead, which alone
-    follows csv.reader there. A quote left open at the end of the file needs
-    neither: like csv.reader, both run its field to the end. The rows cut by
-    the end of a block, or by a block that ends in a carriage return (which
-    may start a CRLF), are parsed again with the next block appended. That
-    read is at least as long as the text carried over, so a field spanning
-    many blocks is still read in linear time, and memory stays bounded by a
-    block and the longest row.
+    Each block is split once on the quote (_split_rows). From the first block
+    with a quote inside an unquoted field or text after a closing quote on,
+    csv.reader reads the rest of the file (_reader_rows), and its rows are
+    all built before the first is yielded; load_version and
+    read_predictions_csv keep every row anyway. csv.field_size_limit is
+    lifted while it parses, and csv.reader in other threads sees the lifted
+    limit during that window. A quote left open at the end of the file needs
+    no fallback: like csv.reader, the split runs its field to the end. The
+    rows cut by the end of a block, or by a block that ends in a carriage
+    return (which may start a CRLF), are parsed again with the next block
+    appended. That read is at least as long as the text carried over, so a
+    field spanning many blocks is still read in linear time, and until the
+    fallback memory stays bounded by a block and the longest row.
     """
     buf = ""
     while True:
@@ -148,10 +146,10 @@ def _csv_rows(fh):
         buf += chunk
         split = _split_rows(buf, final)
         if split is None:
-            rest = yield from _field_rows(buf, final)
-        else:
-            rows, rest = split
-            yield from rows
+            yield from _reader_rows(buf, fh)
+            return
+        rows, rest = split
+        yield from rows
         if final:
             return
         buf = buf[len(buf) - rest:]

@@ -3,7 +3,6 @@ import dataclasses
 import importlib
 import io
 import itertools
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -216,11 +215,9 @@ def test_csv_rows_equal_csv_reader_on_every_short_string(monkeypatch, block):
             assert rows_of(text) == reader_rows(text), (block, text)
 
 
-# csv.reader rejects NUL before Python 3.11; _csv_rows accepts it everywhere
 _TOKENS = ["a", "0", "1", ",", '"', "\r", "\n", " ", "\u00e9", "\u20ac", "\U0001f600"]
-_TOKENS = [t.encode() for t in _TOKENS] + [b"\xff", b"\xe2\x82", b"\xc3", b"A,0,", b",1,\""]
-if sys.version_info >= (3, 11):
-    _TOKENS.append(b"\x00")
+_TOKENS = [t.encode() for t in _TOKENS] + [b"\xff", b"\xe2\x82", b"\xc3", b"A,0,", b",1,\"",
+                                           b"\x00"]
 
 
 @given(st.lists(st.sampled_from(_TOKENS), max_size=60), st.sampled_from([1, 2, 3, 7, 1 << 16]))
@@ -237,8 +234,8 @@ def test_load_version_equals_csv_reader_loader(tmp_path_factory, tokens, block):
         assert outcome(loaded, path) == outcome(reference_load_version, path)
 
 
-def _no_regex_rows(buf, final):
-    raise AssertionError(f"text csv.writer wrote went to the regex tokenizer: {buf!r}")
+def _no_reader_rows(buf, fh):
+    raise AssertionError(f"text csv.writer wrote went to the csv.reader fallback: {buf!r}")
 
 
 _WRITER_FIELDS = st.text(alphabet=['a', '"', ',', '\r', '\n', '\u00e9', '\U0001f600'], max_size=8)
@@ -255,7 +252,7 @@ def test_csv_rows_split_what_csv_writer_writes(rows, quoting, terminator, block)
     text = out.getvalue()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(corpus, "_BLOCK", block)
-        mp.setattr(corpus, "_field_rows", _no_regex_rows)
+        mp.setattr(corpus, "_reader_rows", _no_reader_rows)
         assert rows_of(text) == reader_rows(text)
 
 
@@ -267,6 +264,11 @@ class _CountedReads(io.StringIO):
     def read(self, size=-1):
         self.sizes.append(size)
         return super().read(size)
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.sizes.append(len(line))
+        return line
 
 
 @pytest.mark.parametrize("text", ["a\r\nb\r\n", "a,b\r\n\r\nc", '"a\r\n"\r\nb'])
@@ -310,6 +312,22 @@ def test_unclosed_quote_runs_to_end_of_file(tmp_path, monkeypatch, block):
     p = tmp_path / "v.csv"
     p.write_text('name,bug,src\nA.java,0,"never\r\nclosed, "" still', encoding="utf-8")
     assert loaded(p) == reference_load_version(p) == [("A.java", 'never\r\nclosed, " still', 0)]
+
+
+_HUGE = "x" * 200_000  # over csv.reader's default field limit of 131,072 characters
+
+
+@pytest.mark.parametrize("rows,expected", [
+    (f'B.java,1,"{_HUGE}"\r\nC.java,0,{_HUGE}yz\r\n',
+     [("A.java", "qtail", 0), ("B.java", _HUGE, 1), ("C.java", _HUGE + "yz", 0)]),
+    (f'B.java,1,"{_HUGE}"\r\nC.java,{_HUGE}\r\n', (DataError, "row 4 has 2 fields, expected 3")),
+])
+def test_oversized_field_after_an_irregular_quote(tmp_path, rows, expected):
+    p = tmp_path / "v.csv"
+    p.write_text(f'name,bug,src\r\nA.java,0,"q"tail\r\n{rows}', encoding="utf-8")
+    limit = csv.field_size_limit()
+    assert outcome(loaded, p) == outcome(reference_load_version, p) == expected
+    assert csv.field_size_limit() == limit
 
 
 def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monkeypatch):
