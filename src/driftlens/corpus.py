@@ -108,7 +108,11 @@ def _reader_rows(buf: str, fh) -> list[list[str]]:
     while the list is built.
     """
     text = chain(io.StringIO(buf + fh.readline(), newline="\n"), fh)
-    lines = (piece for line in text for piece in _LONE_CR.split(line) if piece)
+    # only a line with a CR other than its CRLF end needs the split
+    lines = (piece for line in text
+             for piece in (_LONE_CR.split(line) if line.count("\r") > line.endswith("\r\n")
+                           else (line,))
+             if piece)
     with _FIELD_LIMIT_LOCK:
         previous = csv.field_size_limit(_NO_FIELD_LIMIT)
         try:

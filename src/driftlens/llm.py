@@ -1,7 +1,8 @@
 """Chat-completions client (OpenAI-compatible wire format) and output parsing.
 
 Two client flavors share one interface: HttpChatClient posts to a real
-endpoint with bounded retries and an in-flight cap, ScriptedChatClient
+endpoint with bounded retries and an in-flight cap, through urllib.request
+from the standard library unless a transport is injected; ScriptedChatClient
 replays canned replies keyed by (tag, record id) and never touches the
 network. Parsing of model replies is total: every text yields a
 ParsedPrediction whose parse_path records how the label was obtained.
@@ -80,18 +81,34 @@ class CallStats:
     completion_tokens: int = 0
 
 
-def _requests_transport(url, headers, payload, timeout):
-    import requests
+def _urllib_transport(url, headers, payload, timeout):
+    """POST payload as JSON; the reply's (status, body), an error status included.
 
+    A body that is not JSON comes back as {"raw": text}. A failure to connect,
+    send or read, a timeout and a URL without a scheme raise TransportError.
+    HTTPS checks certificates against the system trust store.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload).encode("utf-8")
     try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # 4xx and 5xx come with a body
+            with exc:
+                status, raw = exc.code, exc.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"request failed: {exc}") from exc
+    text = raw.decode("utf-8", errors="replace")
     try:
-        body = resp.json()
+        body = json.loads(text)
     except ValueError:
-        body = {"raw": resp.text}
-    return resp.status_code, body
+        body = {"raw": text}
+    return status, body
 
 
 def _reply_content(body) -> str:
@@ -126,6 +143,8 @@ class HttpChatClient:
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  retry_policy: RetryPolicy = RetryPolicy(), max_in_flight: int = 4,
                  timeout: float = 120.0, transport=None, sleep=time.sleep):
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         base = base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL
         base = base.rstrip("/")
         if not base.endswith("/v1"):
@@ -134,7 +153,7 @@ class HttpChatClient:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.retry_policy = retry_policy
         self.timeout = timeout
-        self.transport = transport or _requests_transport
+        self.transport = transport or _urllib_transport
         self.sleep = sleep
         self.stats = CallStats()
         self._gate = threading.Semaphore(max_in_flight)

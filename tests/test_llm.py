@@ -1,4 +1,7 @@
+import json
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -9,6 +12,7 @@ from driftlens.llm import (
     ParsedPrediction,
     RetryPolicy,
     ScriptedChatClient,
+    _urllib_transport,
     parse_prediction,
 )
 
@@ -153,6 +157,130 @@ class TestHttpClient:
             t.join()
         assert active["peak"] <= 2
         assert client.stats.calls == 6
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_in_flight_cap_below_one_is_rejected(self, cap):
+        # Semaphore(0) would block the first complete() forever
+        with pytest.raises(ValueError, match="max_in_flight"):
+            HttpChatClient(base_url="https://x", api_key="k", max_in_flight=cap)
+
+
+def reply(status, body, length=None):
+    """A server step that answers with status and body; length overrides Content-Length."""
+    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+
+    def send(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(data) if length is None else length))
+        handler.end_headers()
+        handler.wfile.write(data)
+    return send
+
+
+def hang_up(handler):
+    """A server step that closes the connection without a status line."""
+
+
+def stall(handler):
+    """A server step that answers nothing until the test ends."""
+    handler.server.release.wait(30)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((dict(self.headers), json.loads(body)))
+        self.server.steps.pop(0)(self)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Endpoint(ThreadingHTTPServer):
+    daemon_threads = False  # so server_close() joins every handler
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A loopback chat endpoint: set .steps, one per request, and read .received."""
+    # lower-case no_proxy wins over NO_PROXY in urllib, so set both
+    monkeypatch.setenv("NO_PROXY", "*")
+    monkeypatch.setenv("no_proxy", "*")
+    server = _Endpoint(("127.0.0.1", 0), _Handler)
+    server.steps, server.received, server.release = [], [], threading.Event()
+    server.base_url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestStdlibTransport:
+    """The default transport over loopback HTTP, without injection."""
+
+    def client(self, endpoint, **kwargs):
+        return HttpChatClient(base_url=endpoint.base_url, api_key="k", sleep=lambda s: None,
+                              **kwargs)
+
+    def test_json_reply(self, endpoint):
+        endpoint.steps = [reply(200, ok_body("the answer"))]
+        client = self.client(endpoint)
+        assert client.complete(req("hi")) == "the answer"
+        (headers, payload), = endpoint.received
+        assert headers["Authorization"] == "Bearer k"
+        assert payload["messages"][1] == {"role": "user", "content": "hi"}
+        assert client.stats.prompt_tokens == 10
+
+    def test_reply_that_is_not_json(self, endpoint):
+        endpoint.steps = [reply(200, b"<html>busy</html>")] * 2
+        url = endpoint.base_url + "/v1/chat/completions"
+        assert _urllib_transport(url, {}, {}, 5.0) == (200, {"raw": "<html>busy</html>"})
+        with pytest.raises(TransportError, match="malformed response body") as err:
+            self.client(endpoint).complete(req())
+        assert err.value.status == 200
+
+    def test_rate_limit_body_is_returned_then_retried(self, endpoint):
+        endpoint.steps = [reply(429, {"error": "slow down"}), reply(200, ok_body("ok"))]
+        delays = []
+        client = HttpChatClient(base_url=endpoint.base_url, api_key="k", sleep=delays.append,
+                                retry_policy=RetryPolicy(base_delay=0.5))
+        assert client.complete(req()) == "ok"
+        assert len(endpoint.received) == 2
+        assert delays == [0.5]
+        assert client.stats.attempts == 2
+
+    def test_error_status_returns_its_body(self, endpoint):
+        endpoint.steps = [reply(503, {"error": "overloaded"})]
+        url = endpoint.base_url + "/v1/chat/completions"
+        assert _urllib_transport(url, {}, {}, 5.0) == (503, {"error": "overloaded"})
+
+    def test_auth_failure(self, endpoint):
+        endpoint.steps = [reply(401, {"error": "bad key"})]
+        with pytest.raises(ConfigurationError):
+            self.client(endpoint).complete(req())
+        assert len(endpoint.received) == 1
+
+    @pytest.mark.parametrize("step", [
+        hang_up,
+        stall,
+        reply(200, ok_body(), length=len(json.dumps(ok_body())) + 10),
+    ], ids=["closed-connection", "read-timeout", "short-body"])
+    def test_failures_end_in_transport_error(self, endpoint, step):
+        endpoint.steps = [step] * 2
+        client = self.client(endpoint, retry_policy=RetryPolicy(max_attempts=2), timeout=0.2)
+        with pytest.raises(TransportError, match="request failed"):
+            client.complete(req())
+        assert len(endpoint.received) == 2
+        assert client.stats.calls == 0
+
+    def test_url_without_scheme(self):
+        with pytest.raises(TransportError, match="request failed"):
+            _urllib_transport("127.0.0.1/v1/chat/completions", {}, {}, 5.0)
 
 
 class TestScriptedClient:

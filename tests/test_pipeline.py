@@ -416,15 +416,16 @@ class TestCli:
     def test_cli_import_loads_no_numpy(self):
         """Every driftlens call pays for what `import driftlens.cli` loads.
 
-        numpy is never needed; the thread pool, hashlib (OpenSSL) and typing
-        load only when a run needs them. -S keeps site from importing
-        modules of its own (a .pth file may import typing) before the probe
-        looks.
+        numpy is never needed; the thread pool, hashlib (OpenSSL), typing and
+        the HTTP transport's modules (urllib.request, http.client, ssl) load
+        only when a run needs them. -S keeps site from importing modules of
+        its own (a .pth file may import typing) before the probe looks.
         """
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        unused = ("numpy", "concurrent.futures", "logging", "hashlib", "_hashlib", "typing")
+        unused = ("numpy", "concurrent.futures", "logging", "hashlib", "_hashlib", "typing",
+                  "urllib.request", "http.client", "ssl", "requests")
         probe = f"import sys, driftlens.cli; print([m for m in {unused!r} if m in sys.modules])"
         done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
