@@ -1,18 +1,19 @@
 """Diff-anchored file-local context extraction.
 
 Each source is masked once: one regex finds every comment and string/char
-literal, and one substitution blanks them with offsets kept. One pass over
-the brackets of the masked text pairs every `(` and `{` with its closer.
-Methods are located by two signature regexes anchored on line starts; a
-signature's parameter list and body extents are then partner lookups, and
-each span keeps its masked body. A same-file, name-based call graph counts
-the `name(` tokens of each masked body in a single scan. The scanning
-patterns do not backtrack: a run is possessive (`*+`, `++`) wherever the
-item after it cannot start with what it consumed, and only the signature
-modifiers give text back, as `public static Foo(` needs. Context expansion
-walks callers and callees outward from the methods touching changed lines,
-one wave per depth unit, and renders the visited bodies under a line
-budget.
+literal, and one substitution blanks them with offsets kept. The offsets of
+each bracket character, found by `str.find`, pair every `(` and `{` of the
+masked text with its closer. Methods are located by two signature regexes
+anchored on line starts; a signature's parameter list and body extents are
+then partner lookups, and each span keeps its masked body. A same-file,
+name-based call graph counts the `name(` tokens of each masked body in a
+single scan of the reversed body, which jumps from one `(` to the next. The
+scanning patterns do not backtrack: a run is possessive (`*+`, `++`)
+wherever the item after it cannot start with what it consumed, and only the
+signature modifiers give text back, as `public static Foo(` needs. Context
+expansion walks callers and callees outward from the methods touching
+changed lines, one wave per depth unit, and renders the visited bodies
+until the line budget is spent.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ _MASKED_RE = re.compile(
 _NOT_NEWLINE_RE = re.compile(r"[^\n]+")
 _LITERAL_BODY_RE = re.compile(r"\\.?|[^\\\n]+", re.DOTALL)
 _BODY_OR_END_RE = re.compile(r"[{;]")
-_BRACKET_RE = re.compile(r"[(){}]")
-# an identifier not preceded by one of its own characters, then "(";
-# leading with the class lets the scan skip straight to identifier starts;
-# the name's run is followed by a blank or "(", and the blanks by "("
-_CALL_RE = re.compile(r"([A-Za-z_$](?<![\w$].)[\w$]*+)\s*+\(")
+# A call is a name, blanks, then "(". Scanning the reversed body, the
+# pattern leads with the literal "(", so the scan jumps from one "(" to the
+# next instead of trying every letter. The blanks and the name are taken
+# whole, so the name is the maximal run of word characters before the "(",
+# and it is kept only if its first character (the last one taken) may start
+# an identifier. Each match's name reads backwards.
+_REVERSED_CALL_RE = re.compile(r"\(\s*+([\w$]++)(?<=[A-Za-z_$])")
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,16 @@ class CallGraph:
 
 @dataclass(frozen=True)
 class ContextBundle:
-    """Expanded context snippet plus the ordered method set behind it."""
+    """Expanded context snippet plus the ordered method set behind it.
+
+    `included_methods` is every method the expansion visited, whatever the
+    budget; `kept_methods` is those of them whose first line is in the
+    snippet, in the same order.
+    """
 
     snippet: str
     included_methods: tuple[str, ...]
+    kept_methods: tuple[str, ...]
     truncated: bool
     depth_used: int
     line_budget: int
@@ -135,6 +144,28 @@ def mask_source(source: str) -> str:
     return _MASKED_RE.sub(_blank, source)
 
 
+def _offsets(text: str, ch: str) -> list[int]:
+    """Every offset of `ch` in `text`, ascending."""
+    found: list[int] = []
+    at = text.find(ch)
+    while at >= 0:
+        found.append(at)
+        at = text.find(ch, at + 1)
+    return found
+
+
+def _pair(opens: list[int], closes: list[int], partner: dict[int, int]) -> None:
+    """Pair each closer with the latest unpaired opener before it."""
+    stack: list[int] = []
+    i, n = 0, len(opens)
+    for close in closes:
+        while i < n and opens[i] < close:
+            stack.append(opens[i])
+            i += 1
+        if stack:
+            partner[stack.pop()] = close
+
+
 def _partners(masked: str) -> dict[int, int]:
     """Offset of each balanced `(` or `{` mapped to the offset of its closer.
 
@@ -142,19 +173,8 @@ def _partners(masked: str) -> dict[int, int]:
     partner is skipped, and an opener never closed has no entry.
     """
     partner: dict[int, int] = {}
-    parens: list[int] = []
-    braces: list[int] = []
-    for m in _BRACKET_RE.finditer(masked):
-        ch = m[0]
-        if ch == "(":
-            parens.append(m.start())
-        elif ch == "{":
-            braces.append(m.start())
-        elif ch == ")":
-            if parens:
-                partner[parens.pop()] = m.start()
-        elif braces:
-            partner[braces.pop()] = m.start()
+    _pair(_offsets(masked, "("), _offsets(masked, ")"), partner)
+    _pair(_offsets(masked, "{"), _offsets(masked, "}"), partner)
     return partner
 
 
@@ -223,7 +243,7 @@ def build_call_graph(methods: list[MethodSpan]) -> CallGraph:
     starts = [s.start_line for s in by_start]
     edges: dict[tuple[str, str], None] = {}
     for span in methods:
-        found = _CALL_RE.findall(span.masked_body)
+        found = [name[::-1] for name in _REVERSED_CALL_RE.findall(span.masked_body[::-1])]
         callees = rank.keys() & found
         # only a name declared inside the span, usually its own, needs counts
         declared = [s.name for s in by_start[bisect_left(starts, span.start_line):
@@ -253,7 +273,7 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
     depth unit adds one breadth-first wave of callers and callees. Changed
     lines outside any method contribute a small raw window. The rendered
     snippet is cut to whole lines, earlier (closer to the change) methods
-    surviving first.
+    surviving first; rendering stops once the cut is certain.
     """
     if depth < 0 or max_lines < 0:
         raise ValueError("depth and max_lines must be >= 0")
@@ -268,15 +288,20 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
         neighbours[callee].add(caller)
     first_line = {name: spans[0].start_line for name, spans in spans_by_name.items()}
 
-    changed = sorted(set(cs.changed_new_lines))
-    seeds: list[str] = []
+    # One sweep over the changed lines in ascending order. `methods` is
+    # sorted by start line, so the spans holding the current line, kept in
+    # `methods` order, are those already started and not yet ended.
+    seeds: dict[str, None] = {}
     outside: list[int] = []
-    for line in changed:
-        hits = [s for s in methods if s.start_line <= line <= s.end_line]
-        if hits:
-            for span in hits:
-                if span.name not in seeds:
-                    seeds.append(span.name)
+    active: list[MethodSpan] = []
+    started = 0
+    for line in sorted(set(cs.changed_new_lines)):
+        while started < len(methods) and methods[started].start_line <= line:
+            active.append(methods[started])
+            started += 1
+        active = [span for span in active if span.end_line >= line]
+        if active:
+            seeds.update(dict.fromkeys(span.name for span in active))
         else:
             outside.append(line)
 
@@ -297,27 +322,30 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
         frontier = nxt
         waves += 1
 
-    parts: list[str] = []
-    for name in order:
-        for span in spans_by_name[name]:
-            if parts:
-                parts.append("")
-            parts.extend(span.body.split("\n"))
+    # (method name or None for a raw window, text) in render order
+    blocks = [(name, span.body) for name in order for span in spans_by_name[name]]
     if outside:
         src_lines = source.split("\n")
         windows = [(max(1, ln - RAW_WINDOW), min(len(src_lines), ln + RAW_WINDOW))
                    for ln in outside]
-        for lo, hi in _merge_windows(windows):
-            if parts:
-                parts.append("")
-            parts.extend(src_lines[lo - 1:hi])
+        blocks += [(None, "\n".join(src_lines[lo - 1:hi])) for lo, hi in _merge_windows(windows)]
 
-    truncated = len(parts) > max_lines
-    kept = parts[:max_lines]
+    parts: list[str] = []
+    kept: dict[str, None] = {}
+    for name, text in blocks:
+        if len(parts) > max_lines:  # the cut is certain; later blocks cannot show
+            break
+        if parts:
+            parts.append("")
+        if name is not None and len(parts) < max_lines:
+            kept[name] = None
+        parts.extend(text.split("\n"))
+
     return ContextBundle(
-        snippet="\n".join(kept),
+        snippet="\n".join(parts[:max_lines]),
         included_methods=tuple(order),
-        truncated=truncated,
+        kept_methods=tuple(kept),
+        truncated=len(parts) > max_lines,
         depth_used=waves,
         line_budget=max_lines,
     )

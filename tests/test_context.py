@@ -1,5 +1,6 @@
 import importlib
 import re
+import time
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from driftlens import context
 from driftlens.context import (
-    _CALL_RE,
     _CONTROL_KEYWORDS,
     _CTOR_RE,
     _MODIFIERS,
+    _REVERSED_CALL_RE,
     _SIG_RE,
     CallGraph,
+    ContextBundle,
     MethodSpan,
     _partners,
     build_call_graph,
@@ -24,7 +26,7 @@ from driftlens.context import (
     mask_source,
 )
 from driftlens.corpus import load_version
-from driftlens.diffing import diff
+from driftlens.diffing import ChangeSet, diff
 from driftlens.matching import SUBSETS, match_files, partition
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -460,6 +462,8 @@ class TestExtractContext:
         assert cut.truncated
         assert full.snippet.startswith(cut.snippet)
         assert cut.included_methods == full.included_methods  # set is budget-independent
+        assert full.kept_methods == full.included_methods
+        assert cut.kept_methods == ("m1",)  # the seed's 13 lines fill the budget
 
     def test_change_outside_methods_gets_raw_window(self):
         src = "import java.util.List;\n\npublic class X {\n    public void a() { int q = 1; }\n}\n"
@@ -631,8 +635,24 @@ def fields(spans):
             for s in spans]
 
 
+def reversed_call_matches(text):
+    """(name, name start, "(" offset) of each call the reversed scan finds, ascending."""
+    n = len(text)
+    found = [(m[1][::-1], n - m.end(1), n - 1 - m.start())
+             for m in _REVERSED_CALL_RE.finditer(text[::-1])]
+    return found[::-1]
+
+
+def lookbehind_call_matches(text):
+    return [(m[1], m.start(), m.end() - 1) for m in REF_CALL_RE.finditer(text)]
+
+
 class TestOnePassOracles:
     @given(st.text(alphabet="(){}a\n", max_size=80))
+    @example(")(")
+    @example("}{")
+    @example("({)}")
+    @example("(((")
     @settings(max_examples=600, deadline=None)
     def test_partners_equal_bracket_walk(self, text):
         expected = {}
@@ -667,12 +687,31 @@ class TestOnePassOracles:
     @example("$a$(")
     @example("9a(")
     @example("x(1); foo")
+    @example("é9(")
+    @example("x (  y(")
+    @example("a.b(")
+    @example("((")
+    @example("foo\n(")
+    @example("go(x)")
     @settings(max_examples=300, deadline=None)
     def test_call_pattern_equals_lookbehind_original(self, source):
         masked = mask_source(source)
-        assert ([(m.span(), m.groups()) for m in _CALL_RE.finditer(masked)]
-                == [(m.span(), m.groups()) for m in REF_CALL_RE.finditer(masked)])
-        assert _CALL_RE.findall(masked) == REF_CALL_RE.findall(masked)
+        assert reversed_call_matches(masked) == lookbehind_call_matches(masked)
+
+    @given(st.text(alphabet="aZ9_$é. \t\n(", max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_call_pattern_equals_lookbehind_original_on_any_text(self, text):
+        assert reversed_call_matches(text) == lookbehind_call_matches(text)
+
+    def test_call_and_bracket_scans_run_in_linear_time(self):
+        # a scan that retried every "(" or every letter would take seconds here
+        texts = ["(" * 200_000, "a" * 200_000 + "(", "( " * 100_000]
+        started = time.perf_counter()
+        found = [len(_REVERSED_CALL_RE.findall(text[::-1])) for text in texts]
+        paired = [len(_partners(text)) for text in texts]
+        assert time.perf_counter() - started < 1.0
+        assert found == [0, 1, 0]
+        assert paired == [0, 0, 0]
 
     @given(java_like())
     @settings(max_examples=400, deadline=None)
@@ -708,3 +747,99 @@ def test_context_equals_reference_on_synthetic_pair(tmp_path, monkeypatch):
             for cs, src in cases for depth in range(4) for budget in (400, 60)]
     assert got == want
     assert any(bundle.truncated for bundle in got)
+
+
+def reference_extract_context(cs, source, depth, max_lines):
+    """The rule extract_context must equal: seeds found by testing every span
+    against every changed line, then the whole snippet rendered and cut."""
+    methods = extract_methods(source)
+    graph = build_call_graph(methods)
+    spans_by_name = {}
+    for span in methods:
+        spans_by_name.setdefault(span.name, []).append(span)
+    neighbours = {name: set() for name in graph.nodes}
+    for caller, callee in graph.edges:
+        neighbours[caller].add(callee)
+        neighbours[callee].add(caller)
+    first_line = {name: spans[0].start_line for name, spans in spans_by_name.items()}
+    seeds, outside = [], []
+    for line in sorted(set(cs.changed_new_lines)):
+        hits = [s for s in methods if s.start_line <= line <= s.end_line]
+        if hits:
+            for span in hits:
+                if span.name not in seeds:
+                    seeds.append(span.name)
+        else:
+            outside.append(line)
+    order, seen, frontier, waves = list(seeds), set(seeds), list(seeds), 0
+    while frontier and waves < depth:
+        nxt = []
+        for name in frontier:
+            for nb in sorted(neighbours[name], key=first_line.__getitem__):
+                if nb not in seen:
+                    seen.add(nb)
+                    order.append(nb)
+                    nxt.append(nb)
+        if not nxt:
+            break
+        frontier = nxt
+        waves += 1
+    parts, first_rendered = [], {}
+    for name in order:
+        for span in spans_by_name[name]:
+            if parts:
+                parts.append("")
+            first_rendered.setdefault(name, len(parts))
+            parts.extend(span.body.split("\n"))
+    if outside:
+        src_lines = source.split("\n")
+        windows = sorted((max(1, ln - 3), min(len(src_lines), ln + 3)) for ln in outside)
+        merged = []
+        for lo, hi in windows:
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        for lo, hi in merged:
+            if parts:
+                parts.append("")
+            parts.extend(src_lines[lo - 1:hi])
+    return ContextBundle(
+        snippet="\n".join(parts[:max_lines]),
+        included_methods=tuple(order),
+        kept_methods=tuple(name for name in order if first_rendered[name] < max_lines),
+        truncated=len(parts) > max_lines,
+        depth_used=waves,
+        line_budget=max_lines,
+    )
+
+
+def changed_lines(lines):
+    return ChangeSet(added=(), removed=(), unified="", changed_new_lines=tuple(lines))
+
+
+@st.composite
+def java_like_change(draw):
+    source = draw(java_like())
+    n_lines = source.count("\n") + 1
+    lines = draw(st.lists(st.integers(1, n_lines), max_size=n_lines + 2))
+    return source, changed_lines(lines)
+
+
+@given(java_like_change(), st.integers(0, 3), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_context_equals_scan_every_span_rule(change, depth, budget):
+    source, cs = change
+    assert (extract_context(cs, source, depth, budget)
+            == reference_extract_context(cs, source, depth, budget))
+
+
+def test_seed_lookup_runs_in_linear_time():
+    # testing every span against every changed line took 1.9 s here
+    source = java_chain([], 3000)
+    cs = changed_lines(range(1, source.count("\n") + 2))
+    started = time.perf_counter()
+    bundle = extract_context(cs, source, depth=0, max_lines=400)
+    assert time.perf_counter() - started < 0.5
+    assert len(bundle.included_methods) == 3000
+    assert bundle.kept_methods == tuple(f"m{i}" for i in range(100))  # 4 lines each

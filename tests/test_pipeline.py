@@ -457,7 +457,13 @@ class TestCli:
         assert cli_main(["context", "--old", str(old_csv), "--new", str(new_csv),
                          "--record", "pkg/B10.java", "--depth", "3",
                          "--max-lines", "600"]) == 0
-        assert "public int work" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "public int work" in captured.out and captured.err == ""
+        for budget, kept in (("2", 1), ("0", 0)):
+            assert cli_main(["context", "--old", str(old_csv), "--new", str(new_csv),
+                             "--record", "pkg/B10.java", "--max-lines", budget]) == 0
+            assert capsys.readouterr().err == (f"# truncated to {budget} lines: {kept} of 1 "
+                                               "visited methods start inside\n")
 
         assert cli_main(["prompt", "--old", str(old_csv), "--new", str(new_csv),
                          "--record", "pkg/B10.java", "--method", "M5"]) == 0
