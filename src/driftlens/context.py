@@ -271,9 +271,10 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
 
     Seeds are the methods overlapping the change's new-file lines; each
     depth unit adds one breadth-first wave of callers and callees. Changed
-    lines outside any method contribute a small raw window. The rendered
-    snippet is cut to whole lines, earlier (closer to the change) methods
-    surviving first; rendering stops once the cut is certain.
+    lines outside any method contribute a small raw window, rendered right
+    after the seeds. The rendered snippet is cut to whole lines, earlier
+    (closer to the change) blocks surviving first; rendering stops once the
+    cut is certain.
     """
     if depth < 0 or max_lines < 0:
         raise ValueError("depth and max_lines must be >= 0")
@@ -322,13 +323,16 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
         frontier = nxt
         waves += 1
 
-    # (method name or None for a raw window, text) in render order
-    blocks = [(name, span.body) for name in order for span in spans_by_name[name]]
+    # (method name or None for a raw window, text) in render order: the
+    # seeds, then the windows around changed lines outside every method, as
+    # close to the change as the seeds, then each wave
+    blocks = [(name, span.body) for name in order[:len(seeds)] for span in spans_by_name[name]]
     if outside:
         src_lines = source.split("\n")
         windows = [(max(1, ln - RAW_WINDOW), min(len(src_lines), ln + RAW_WINDOW))
                    for ln in outside]
         blocks += [(None, "\n".join(src_lines[lo - 1:hi])) for lo, hi in _merge_windows(windows)]
+    blocks += [(name, span.body) for name in order[len(seeds):] for span in spans_by_name[name]]
 
     parts: list[str] = []
     kept: dict[str, None] = {}

@@ -465,6 +465,22 @@ class TestExtractContext:
         assert full.kept_methods == full.included_methods
         assert cut.kept_methods == ("m1",)  # the seed's 13 lines fill the budget
 
+    def test_change_outside_methods_survives_the_cut(self):
+        # the raw window follows the seeds, so waves of callers cannot push it out
+        src = java_chain([(0, j) for j in range(1, 60)], 60, filler=5)
+        lines = src.split("\n")
+        m1 = next(m for m in extract_methods(src) if m.name == "m1")
+        lines[m1.start_line] += " // edited"
+        assert lines[-2] == "}"  # the class's closing brace
+        lines[-2] = "} // closed"
+        new_src = "\n".join(lines)
+        cs = diff(src, new_src)
+        full = extract_context(cs, new_src, depth=3, max_lines=100_000)
+        cut = extract_context(cs, new_src, depth=3, max_lines=400)
+        assert cut.truncated and "} // closed" in cut.snippet
+        assert full.snippet.startswith(cut.snippet)
+        assert cut.included_methods == full.included_methods
+
     def test_change_outside_methods_gets_raw_window(self):
         src = "import java.util.List;\n\npublic class X {\n    public void a() { int q = 1; }\n}\n"
         new = src.replace("import java.util.List;", "import java.util.ArrayList;")
@@ -751,7 +767,8 @@ def test_context_equals_reference_on_synthetic_pair(tmp_path, monkeypatch):
 
 def reference_extract_context(cs, source, depth, max_lines):
     """The rule extract_context must equal: seeds found by testing every span
-    against every changed line, then the whole snippet rendered and cut."""
+    against every changed line, then the whole snippet rendered (seeds, raw
+    windows, waves) and cut."""
     methods = extract_methods(source)
     graph = build_call_graph(methods)
     spans_by_name = {}
@@ -785,12 +802,16 @@ def reference_extract_context(cs, source, depth, max_lines):
         frontier = nxt
         waves += 1
     parts, first_rendered = [], {}
-    for name in order:
-        for span in spans_by_name[name]:
-            if parts:
-                parts.append("")
-            first_rendered.setdefault(name, len(parts))
-            parts.extend(span.body.split("\n"))
+
+    def render(names):
+        for name in names:
+            for span in spans_by_name[name]:
+                if parts:
+                    parts.append("")
+                first_rendered.setdefault(name, len(parts))
+                parts.extend(span.body.split("\n"))
+
+    render(seeds)
     if outside:
         src_lines = source.split("\n")
         windows = sorted((max(1, ln - 3), min(len(src_lines), ln + 3)) for ln in outside)
@@ -804,6 +825,7 @@ def reference_extract_context(cs, source, depth, max_lines):
             if parts:
                 parts.append("")
             parts.extend(src_lines[lo - 1:hi])
+    render(order[len(seeds):])
     return ContextBundle(
         snippet="\n".join(parts[:max_lines]),
         included_methods=tuple(order),
