@@ -179,7 +179,10 @@ def _partners(masked: str) -> dict[int, int]:
 
 
 def extract_methods(source: str) -> list[MethodSpan]:
-    """Best-effort detection of Java method declarations and their extents."""
+    """Best-effort detection of Java method declarations and their extents.
+
+    Spans come sorted by start line, then end line.
+    """
     if not source:
         return []
     masked = mask_source(source)
@@ -326,7 +329,7 @@ def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> Co
     # (method name or None for a raw window, text) in render order: the
     # seeds, then the windows around changed lines outside every method, as
     # close to the change as the seeds, then each wave
-    blocks = [(name, span.body) for name in order[:len(seeds)] for span in spans_by_name[name]]
+    blocks = [(name, span.body) for name in seeds for span in spans_by_name[name]]
     if outside:
         src_lines = source.split("\n")
         windows = [(max(1, ln - RAW_WINDOW), min(len(src_lines), ln + RAW_WINDOW))
