@@ -269,7 +269,7 @@ def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-def extract_context(cs, source: str, depth: int = 3, max_lines: int = 400) -> ContextBundle:
+def extract_context(cs, source: str, depth: int, max_lines: int) -> ContextBundle:
     """Expand changed lines through the call graph into a bounded snippet.
 
     Seeds are the methods overlapping the change's new-file lines; each

@@ -13,12 +13,13 @@ field is its odd pieces joined with one quote, and only the non-empty even
 pieces hold separators. csv.reader also accepts quoting csv.writer never
 writes, a quote inside an unquoted field or text after a closing quote,
 where that split no longer tells inside from outside. From the first block
-with such a quote on, csv.reader itself reads the rest of the file; no
-snapshot that csv.writer wrote reaches it. The file is opened with
-newline="\n": like newline="", it leaves every line end as it is in the
-file, which the CSV grammar needs, and unlike newline="" it sends no
-decoded block through a universal-newline pass. One byte-order mark at the
-start of the file is skipped.
+with such a quote on, csv.reader itself reads the rest of the file, read
+whole into a StringIO that cuts lines as newline="" does; no snapshot that
+csv.writer wrote reaches it. The file is opened with newline="\n": like
+newline="", it leaves every line end as it is in the file, which the CSV
+grammar needs, and unlike newline="" it sends no decoded block through a
+universal-newline pass. One byte-order mark at the start of the file is
+skipped.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
@@ -44,9 +45,6 @@ _BLOCK = 1 << 16
 # text other than a separator on either side, which csv.writer never writes. The
 # leading quote lets the search jump from quote to quote.
 _STRAY_QUOTE = re.compile(r'"(?:(?![,\r\n]|\Z)|(?<=[^,\r\n]"))')
-# Where newline="" ends a line that newline="\n" does not: after a carriage
-# return that no line feed follows.
-_LONE_CR = re.compile(r"(?<=\r)(?!\n)")
 # csv.field_size_limit while _reader_rows parses, and the lock that keeps two
 # parses from restoring each other's limit.
 _NO_FIELD_LIMIT = 2**31 - 1
@@ -103,20 +101,15 @@ def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
 def _reader_rows(buf: str, fh) -> list[list[str]]:
     """The rows csv.reader reads from buf, which starts at a row, and the rest of fh.
 
-    Each line is also split after a carriage return that no line feed
-    follows, as newline="" would cut it. The field size limit is lifted only
-    while the list is built.
+    A StringIO made with newline="" cuts lines where a file opened with
+    newline="" would, after a lone carriage return too. The field size limit
+    is lifted only while the list is built.
     """
-    text = chain(io.StringIO(buf + fh.readline(), newline="\n"), fh)
-    # only a line with a CR other than its CRLF end needs the split
-    lines = (piece for line in text
-             for piece in (_LONE_CR.split(line) if line.count("\r") > line.endswith("\r\n")
-                           else (line,))
-             if piece)
+    text = io.StringIO(buf + fh.read(), newline="")
     with _FIELD_LIMIT_LOCK:
         previous = csv.field_size_limit(_NO_FIELD_LIMIT)
         try:
-            return list(csv.reader(lines))
+            return list(csv.reader(text))
         finally:
             csv.field_size_limit(previous)
 
@@ -131,11 +124,11 @@ def _csv_rows(fh):
 
     Each block is split once on the quote (_split_rows). From the first block
     with a quote inside an unquoted field or text after a closing quote on,
-    csv.reader reads the rest of the file (_reader_rows), and its rows are
-    all built before the first is yielded; load_version and
-    read_predictions_csv keep every row anyway. csv.field_size_limit is
-    lifted while it parses, and csv.reader in other threads sees the lifted
-    limit during that window. A quote left open at the end of the file needs
+    csv.reader reads the rest of the file (_reader_rows), which is read
+    whole, and its rows are all built before the first is yielded;
+    load_version and read_predictions_csv keep every row anyway.
+    csv.field_size_limit is lifted while it parses, and csv.reader in other
+    threads sees the lifted limit during that window. A quote left open at the end of the file needs
     no fallback: like csv.reader, the split runs its field to the end. The
     rows cut by the end of a block, or by a block that ends in a carriage
     return (which may start a CRLF), are parsed again with the next block

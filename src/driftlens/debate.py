@@ -9,7 +9,7 @@ with a stricter format reminder before the record is flagged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
@@ -40,11 +40,6 @@ class DebateConfig:
         if missing:
             raise ValueError(f"role_models missing assignments for {missing}")
 
-    def as_dict(self) -> dict:
-        return {"rounds": self.rounds, "role_models": dict(self.role_models),
-                "depth": self.depth, "max_lines": self.max_lines,
-                "temperature": self.temperature}
-
 
 @dataclass(frozen=True)
 class DebateTranscript:
@@ -57,7 +52,7 @@ class DebateTranscript:
     def to_json(self) -> str:
         return json.dumps({
             "record_id": self.record_id,
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "messages": [{"role": r, "round": k, "text": t} for r, k, t in self.messages],
             "verdict": {
                 "label": self.verdict.label,

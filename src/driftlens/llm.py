@@ -26,7 +26,7 @@ API_KEY_ENV = "DRIFTLENS_API_KEY"
 # "\s*(?:\*+\s*)?" reads what "\s*\**\s*" reads without quadratic backtracking
 _MARKER_RE = re.compile(r"###\s*Final Prediction\s*:\s*(?:\*+\s*)?(BENIGN|DEFECTIVE)",
                         re.IGNORECASE)
-_CONFIDENCE_RE = re.compile(r"###\s*Confidence\s*:\s*(?:\*+\s*)?([0-9]+(?:\.[0-9]+)?)\s*%?",
+_CONFIDENCE_RE = re.compile(r"###\s*Confidence\s*:\s*(?:\*+\s*)?([0-9]+(?:\.[0-9]+)?)[ \t]*(%?)",
                             re.IGNORECASE)
 _BRACE_RE = re.compile(r"[{}]")
 _DECODER = json.JSONDecoder()
@@ -299,8 +299,9 @@ def _parse_markers(raw: str) -> ParsedPrediction | None:
     confidence = None
     cm = _CONFIDENCE_RE.search(raw)
     if cm:
+        # "85%" is a percent; without the sign a value above 1 is taken as one too
         value = float(cm.group(1))
-        confidence = value / 100.0 if value > 1.0 else value
+        confidence = value / 100.0 if cm.group(2) or value > 1.0 else value
         confidence = max(0.0, min(1.0, confidence))
     return ParsedPrediction(label=_label_from_word(m.group(1)), confidence=confidence,
                             parse_path="marker")

@@ -119,11 +119,9 @@ class EvaluationReport:
     mcc: float
     counts: dict                         # subset -> evaluated count
     excluded: int
-    elapsed_seconds: float = 0.0
 
 
-def evaluate_predictions(rows, method: str = "",
-                         elapsed_seconds: float = 0.0) -> EvaluationReport:
+def evaluate_predictions(rows, method: str = "") -> EvaluationReport:
     """Full report over prediction rows: anything with subset, new_label and pred_label.
 
     Rows whose pred_label is None are excluded (and counted). Every
@@ -161,7 +159,6 @@ def evaluate_predictions(rows, method: str = "",
         mcc=mcc,
         counts=counts,
         excluded=len(rows) - len(evaluated),
-        elapsed_seconds=elapsed_seconds,
     )
 
 
@@ -194,7 +191,6 @@ def render_text(report: EvaluationReport) -> str:
     lines.append("")
     count_bits = [f"{k}={v}" for k, v in sorted(report.counts.items())]
     lines.append("counts: " + " ".join(count_bits) + f" excluded={report.excluded}")
-    lines.append(f"elapsed_seconds: {report.elapsed_seconds:.3f}")
     return "\n".join(lines)
 
 
@@ -216,5 +212,4 @@ def report_csv_rows(report: EvaluationReport) -> list[list]:
     for key, value in sorted(report.counts.items()):
         rows.append([f"count_{key}", value])
     rows.append(["excluded", report.excluded])
-    rows.append(["elapsed_seconds", report.elapsed_seconds])
     return rows

@@ -3,7 +3,9 @@
 A run is described by a flat key=value config (RunConfig), selects exactly
 one predictor (a naive baseline, one of M0-M8, or the debate), and persists
 matches, records, predictions, transcripts, the evaluation report, and a
-manifest that reproduces the run byte-for-byte in stub mode.
+manifest that reproduces the run byte-for-byte in stub mode. The report is
+a function of predictions.csv alone; the run's wall time is a comment line
+of the manifest.
 """
 
 from __future__ import annotations
@@ -196,9 +198,11 @@ def config_lines(config: RunConfig) -> list[str]:
     return out
 
 
-def write_manifest(config: RunConfig, path: str | Path) -> None:
+def write_manifest(config: RunConfig, path: str | Path, elapsed_seconds: float) -> None:
+    """Write config as a config file; the run's wall time goes in a comment line."""
     lines = [f"# driftlens manifest (tool version {__version__})",
-             "# re-run with: driftlens run --config <this file>"]
+             "# re-run with: driftlens run --config <this file>",
+             f"# elapsed_seconds: {elapsed_seconds:.3f}"]
     lines.extend(config_lines(config))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -494,8 +498,7 @@ def run(config: RunConfig, client=None):
 
     with _stage("evaluate"):
         method_name = config.baseline or config.method or "debate"
-        report = evaluate_predictions(rows, method=method_name,
-                                      elapsed_seconds=time.monotonic() - started)
+        report = evaluate_predictions(rows, method=method_name)
         (out_dir / "report.txt").write_text(render_text(report) + "\n", encoding="utf-8")
         with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report_csv_rows(report))
@@ -503,7 +506,7 @@ def run(config: RunConfig, client=None):
         artifacts["report_csv"] = out_dir / "report.csv"
 
     with _stage("manifest"):
-        write_manifest(config, out_dir / "manifest.txt")
+        write_manifest(config, out_dir / "manifest.txt", time.monotonic() - started)
         artifacts["manifest"] = out_dir / "manifest.txt"
 
     return report, artifacts

@@ -4,8 +4,8 @@ Each perfbench workload's pair is generated at seeds 11 and 37 and run
 through pipeline.run with the client the benchmark gives it: none for the
 baseline, the scripted stub for M5 and the debate, and the fake endpoint,
 with its latency and the backoff sleeps set to no-ops, for endpoint-m5.
-Every artifact that does not hold a time, and every prompt sent, is
-compared with a committed sha256 digest. A change that alters an output on
+Every artifact but the manifest, which holds the run's wall time, and
+every prompt sent are compared with a committed sha256 digest. A change that alters an output on
 purpose updates the digest here and says why. The order of a snapshot's
 rows must not matter either: with the rows of both CSVs shuffled, the rows
 of records.csv and predictions.csv are the same.
@@ -38,11 +38,6 @@ def request_digest(req) -> str:
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def without_elapsed(path: Path) -> bytes:
-    lines = path.read_bytes().splitlines(keepends=True)
-    return b"".join(line for line in lines if not line.startswith(b"elapsed_seconds"))
 
 
 def make_client(monkeypatch, workload, truth):
@@ -90,8 +85,8 @@ def run_digests(tmp_path, monkeypatch, name: str, seed: int) -> dict[str, str]:
         "records": sha((out_dir / "records.csv").read_bytes()),
         "predictions": sha((out_dir / "predictions.csv").read_bytes()),
         "transcripts": transcripts.hexdigest(),
-        "report_txt": sha(without_elapsed(out_dir / "report.txt")),
-        "report_csv": sha(without_elapsed(out_dir / "report.csv")),
+        "report_txt": sha((out_dir / "report.txt").read_bytes()),
+        "report_csv": sha((out_dir / "report.csv").read_bytes()),
         "requests": sha(json.dumps(sorted(requests)).encode("utf-8")),
     }
 

@@ -340,6 +340,15 @@ class TestParsing:
                                   "judge_markers")
         assert parsed.confidence == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("written, confidence", [
+        ("1%", 0.01), ("0.5%", 0.005), ("85%", 0.85), ("85 %", 0.85), ("1", 1.0),
+        ("0.75", 0.75), ("250%", 1.0), ("0.9\n% of lines changed", 0.9)])
+    def test_confidence_percent_sign_divides_by_100(self, written, confidence):
+        parsed = parse_prediction(f"### Final Prediction: BENIGN\n### Confidence: {written}",
+                                  "judge_markers")
+        assert parsed.parse_path == "marker"
+        assert parsed.confidence == pytest.approx(confidence)
+
     def test_missing_confidence_keeps_label(self):
         parsed = parse_prediction("### Final Prediction: DEFECTIVE", "judge_markers")
         assert parsed.label == 1

@@ -411,14 +411,15 @@ class TestNaiveBaselineProperties:
 class TestReportRendering:
     def test_text_and_csv(self):
         rows = [row("a", "B00", 0, 0), row("b", "D01", 1, 0), row("s", "unchanged_source", 0, 0)]
-        report = evaluate_predictions(rows, method="demo", elapsed_seconds=1.25)
+        report = evaluate_predictions(rows, method="demo")
         text = render_text(report)
         assert "demo" in text
         assert "HMB" in text and "HMD" in text
-        assert "elapsed_seconds: 1.250" in text
+        assert text.endswith("counts: B00=1 B10=0 D01=1 D11=0 unchanged_source=1 excluded=0")
         rows = report_csv_rows(report)
         keys = [row[0] for row in rows]
         assert "acc_B00" in keys and "hmb" in keys and "total_f1" in keys
+        assert keys[-1] == "excluded"
         assert report.counts["unchanged_source"] == 1
 
     def test_report_values_in_unit_range(self):

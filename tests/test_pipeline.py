@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from driftlens import pipeline
 from driftlens.cli import build_parser, main as cli_main
-from driftlens.context import extract_context
 from driftlens.corpus import VersionedFile, VersionSet
 from driftlens.debate import DebateConfig
 from driftlens.diffing import diff
@@ -386,8 +386,7 @@ class TestArtifactReaders:
         rows = pipeline.read_predictions_csv(artifacts["predictions"])
         subsets = sorted(row.subset for row in rows)
         assert subsets == sorted(["unchanged_source", "B00", "B10", "D01", "D11", "added"])
-        assert pipeline.evaluate_predictions(rows, method="label_persistent") == \
-            dataclasses.replace(report, elapsed_seconds=0.0)
+        assert pipeline.evaluate_predictions(rows, method="label_persistent") == report
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(prediction_rows, max_size=8, unique_by=lambda row: row.record_id))
@@ -410,6 +409,22 @@ class TestArtifactReaders:
                                   c[6], c[7]) for c in cells]
         assert pipeline.read_predictions_csv(path) == expected
         assert [row.record_id for row in expected] == ['pkg/"A",1.java', 'b,"\r\nc"']
+
+
+def assert_evaluate_prints_run_report(config, capsys, client=None):
+    """Run config; `driftlens evaluate` on its predictions.csv must print its
+    report.txt byte for byte, and its manifest must hold the wall time in a
+    comment line and load back as config."""
+    report, artifacts = pipeline.run(config, client=client)
+    report_txt = artifacts["report_txt"].read_bytes()
+    assert report_txt == (render_text(report) + "\n").encode("utf-8")
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--preds", str(artifacts["predictions"])]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == report_txt
+    manifest = artifacts["manifest"].read_text(encoding="utf-8").splitlines()
+    assert re.fullmatch(r"# elapsed_seconds: \d+\.\d{3}", manifest[2])
+    assert pipeline.load_config(artifacts["manifest"]) == config
+    return report
 
 
 class TestCli:
@@ -497,12 +512,15 @@ class TestCli:
         client = ScriptedChatClient({
             ("M5", "pkg/B00.java"): "no verdict in this reply",
             ("M5", "pkg/D01.java"): '{"prediction": "Defective", "confidence": 0.8125}'})
-        config = base_config(corpus, tmp_path, method="M5")
-        report, artifacts = pipeline.run(config, client=client)
+        report = assert_evaluate_prints_run_report(base_config(corpus, tmp_path, method="M5"),
+                                                   capsys, client)
         assert report.excluded == 1
-        assert cli_main(["evaluate", "--preds", str(artifacts["predictions"])]) == 0
-        expected = render_text(dataclasses.replace(report, elapsed_seconds=0.0))
-        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("selector", [{"baseline": "label_persistent"}, {"debate": True}],
+                             ids=["label_persistent", "debate"])
+    def test_evaluate_reproduces_baseline_and_debate_reports(self, corpus, tmp_path, capsys,
+                                                             selector):
+        assert_evaluate_prints_run_report(base_config(corpus, tmp_path, **selector), capsys)
 
     def test_evaluate_reads_a_predictions_file_with_a_byte_order_mark(self, corpus, tmp_path,
                                                                       capsys):
@@ -641,8 +659,6 @@ class TestCli:
         assert (config.rounds, config.depth, config.max_lines) == (debate.rounds, debate.depth,
                                                                    debate.max_lines)
         assert config.diff_context == default(diff, "context_lines")
-        assert (config.depth, config.max_lines) == (default(extract_context, "depth"),
-                                                    default(extract_context, "max_lines"))
         assert config.max_in_flight == default(HttpChatClient, "max_in_flight")
 
     def test_cli_error_path(self, corpus, tmp_path, capsys):
