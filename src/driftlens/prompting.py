@@ -205,7 +205,8 @@ class PromptBundle:
 
 
 def _require(method_id: str, name: str, value) -> None:
-    if value is None or (isinstance(value, (str, list, tuple)) and len(value) == 0):
+    # Only an absent input is missing: an empty file renders as an empty block.
+    if value is None:
         raise ConfigurationError(f"{method_id} requires {BLOCK_NAMES[name]}")
 
 
@@ -233,7 +234,7 @@ def build_method_prompt(method_id: str, record, cs, ctx=None,
             raise ConfigurationError(f"{method_id} requires {BLOCK_NAMES['prev_label']}")
         values["prev"] = LABEL_WORDS[record.old_file.label]
     if "src1" in required:
-        _require(method_id, "src1", record.old_file and record.old_file.source)
+        _require(method_id, "src1", record.old_file)
         values["src1"] = record.old_file.source
     if "src2" in required:
         _require(method_id, "src2", record.new_file.source)
@@ -247,10 +248,10 @@ def build_method_prompt(method_id: str, record, cs, ctx=None,
         _require(method_id, "unified", cs)
         values["unified"] = cs.unified
     if "local_context" in required:
-        _require(method_id, "local_context", ctx and ctx.snippet)
+        _require(method_id, "local_context", ctx)
         values["local_context"] = ctx.snippet
     if "exemplars" in required:
-        _require(method_id, "exemplars", exemplars)
+        _require(method_id, "exemplars", exemplars or None)
         values["exemplars"] = _render_exemplars(exemplars)
 
     user = METHOD_TEMPLATES[method_id].format(**values) + "\n\n" + JSON_INSTRUCTION

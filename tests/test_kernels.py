@@ -1,7 +1,7 @@
+import itertools
 import random
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from driftlens import kernels
 
 
-def brute_force_lcs_len(a, b):
-    # Textbook DP, independent of the kernel implementation.
+def lcs_table(a, b):
+    # Textbook DP, independent of the kernel implementation: table[i][j] is
+    # the LCS length of a[:i] and b[:j].
     n, m = len(a), len(b)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -19,7 +20,7 @@ def brute_force_lcs_len(a, b):
                 table[i][j] = table[i - 1][j - 1] + 1
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[n][m]
+    return table
 
 
 def random_lines(rng, n, alphabet):
@@ -42,7 +43,7 @@ def test_pairs_are_a_valid_common_subsequence():
         pairs = list(expand(kernels.lcs_pairs(a, b)))
         assert all(a[i] == b[j] for i, j in pairs)
         assert all(i1 < i2 and j1 < j2 for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]))
-        assert len(pairs) == brute_force_lcs_len(a, b)
+        assert len(pairs) == lcs_table(a, b)[-1][-1]
 
 
 def test_identical_and_empty_inputs():
@@ -76,8 +77,8 @@ def test_common_lines_post_the_candidates_that_lack_them():
 
 
 def reference_dense_dice(query, sets):
-    # One score per candidate from its own line set, as the dense loop that
-    # the score profile replaced scored them; it reads no index.
+    # The Dice definition, one score per candidate from its own line set:
+    # 2|A & B| / (|A| + |B|), and 1.0 when both sets are empty. It reads no index.
     size = len(query)
     scores = []
     for s in sets:
@@ -126,75 +127,6 @@ def test_dice_profile_equals_dense_row(query, sets):
     assert keyed_by_bytes(profile) == keyed_by_bytes(expected)
 
 
-def reference_pack_line_sets(sets):
-    # The CSR (flat, offsets) pair of int64 line-id arrays that the inverted
-    # index replaced.
-    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in sets], dtype=np.int64, out=offsets[1:])
-    flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-    return flat, offsets
-
-
-def reference_member_dice_batch(query, flat, offsets):
-    # The member-table gather over dense line ids that the inverted index
-    # replaced: the query's ids are marked, then read back at every
-    # candidate id.
-    member = np.zeros(1 + max(query.max(initial=-1), flat.max(initial=-1)), dtype=bool)
-    member[query] = True
-    inter = np.diff(np.searchsorted(np.flatnonzero(member[flat]), offsets))
-    denom = len(query) + np.diff(offsets)
-    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
-
-
-def reference_hashed_line_set(lines):
-    # A file's line set as match_files scored it before lines were interned
-    # by text: the distinct line_hash64 values, sorted.
-    hashes = {kernels.line_hash64(ln) for ln in lines}
-    arr = np.fromiter(hashes, dtype=np.int64, count=len(hashes))
-    arr.sort()
-    return arr
-
-
-def reference_dice_batch(query, flat, offsets):
-    # The searchsorted pass over raw sorted hashes that dice_batch replaced
-    # with a member table over dense ids.
-    pos = np.searchsorted(query, flat)
-    hit = pos < len(query)
-    hit[hit] = query[pos[hit]] == flat[hit]
-    hits = np.zeros(len(flat) + 1, dtype=np.int64)
-    np.cumsum(hit, out=hits[1:])
-    inter = hits[offsets[1:]] - hits[offsets[:-1]]
-    denom = len(query) + np.diff(offsets)
-    return np.divide(2.0 * inter, denom, out=np.ones(len(offsets) - 1), where=denom > 0)
-
-
-def reference_dice(query, flat, offsets):
-    # The per-candidate loop that came before both: searches each segment
-    # (sorted) for the query's values, with both empty-set cases by hand.
-    count = len(offsets) - 1
-    out = np.empty(count, dtype=np.float64)
-    nq = len(query)
-    for t in range(count):
-        seg = flat[offsets[t] : offsets[t + 1]]
-        denom = nq + len(seg)
-        if denom == 0:
-            out[t] = 1.0
-            continue
-        if nq == 0 or len(seg) == 0:
-            out[t] = 0.0
-            continue
-        idx = np.searchsorted(seg, query)
-        np.clip(idx, 0, len(seg) - 1, out=idx)
-        inter = int(np.count_nonzero(seg[idx] == query))
-        out[t] = 2.0 * inter / denom
-    return out
-
-
-def as_id_array(lines, ids):
-    # a line set as the sorted array of its interned ids
-    return np.array(sorted(ids.setdefault(ln, len(ids)) for ln in lines), dtype=np.int64)
-
-
 @given(line_sets, st.lists(line_sets, max_size=8))
 @example(set(), [])
 @example(set(), [set(), {"a"}])
@@ -205,60 +137,17 @@ def as_id_array(lines, ids):
 @settings(max_examples=400, deadline=None)
 def test_dice_batch_equals_per_candidate_loop(query, sets):
     index, offsets = kernels.pack_line_sets(sets)
-    scores = reference_dense_dice(query, sets)
-    ids = {}
-    flat, ref_offsets = reference_pack_line_sets([as_id_array(s, ids) for s in sets])
-    ref_query = as_id_array(query, ids)
-    assert offsets == ref_offsets.tolist()
-    got = np.array(scores, dtype=np.float64).tobytes()
-    expected = reference_dice(ref_query, flat, ref_offsets)
-    assert got == expected.tobytes()
-    assert got == reference_member_dice_batch(ref_query, flat, ref_offsets).tobytes()
+    assert offsets == list(itertools.accumulate(map(len, sets), initial=0))
     profile = kernels.dice_batch(query, index, offsets, kernels.size_groups(offsets))
-    assert keyed_by_bytes(profile) == keyed_by_bytes(score_profile(expected.tolist()))
-
-
-def _lcs_table(a, b):
-    n, m = len(a), len(b)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
-    if m == 0:
-        return table
-    for i in range(1, n + 1):
-        prev = table[i - 1]
-        # L[i][j] = max(up, diag-candidate, L[i][j-1]); the last term is a
-        # running maximum because LCS rows are nondecreasing.
-        t = np.maximum(prev[1:], np.where(b == a[i - 1], prev[:-1] + 1, 0))
-        np.maximum.accumulate(t, out=t)
-        table[i, 1:] = t
-    return table
-
-
-def _backtrack(table, a, b, a_tb, b_tb):
-    pairs = []
-    i, j = len(a), len(b)
-    while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1]:
-            pairs.append((i - 1, j - 1))
-            i -= 1
-            j -= 1
-        else:
-            up = table[i - 1, j]
-            left = table[i, j - 1]
-            if up > left:
-                i -= 1
-            elif left > up:
-                j -= 1
-            elif a_tb[i - 1] <= b_tb[j - 1]:
-                i -= 1
-            else:
-                j -= 1
-    pairs.reverse()
-    return pairs
+    expected = score_profile(reference_dense_dice(query, sets))
+    assert keyed_by_bytes(profile) == keyed_by_bytes(expected)
 
 
 def reference_lcs_pairs(a_lines, b_lines):
-    # The full int32 table and its backtrack that lcs_pairs replaced with
-    # bit-parallel rows; same prefix/suffix stripping and cell budget.
+    # The matched index pairs of the DP table's walk-back, after the same
+    # prefix/suffix stripping and cell budget as lcs_pairs. From (n, m) it
+    # takes equal lines as a match, else steps to the larger neighbour; on a
+    # tie it drops the a line when its line_hash64 is not above the b line's.
     n, m = len(a_lines), len(b_lines)
     prefix = 0
     while prefix < n and prefix < m and a_lines[prefix] == b_lines[prefix]:
@@ -267,20 +156,25 @@ def reference_lcs_pairs(a_lines, b_lines):
     while (suffix < n - prefix and suffix < m - prefix
            and a_lines[n - 1 - suffix] == b_lines[m - 1 - suffix]):
         suffix += 1
-    pairs = [(k, k) for k in range(prefix)]
     mid_a = a_lines[prefix : n - suffix]
     mid_b = b_lines[prefix : m - suffix]
+    middle = []
     if mid_a and mid_b and (len(mid_a) + 1) * (len(mid_b) + 1) <= kernels.LCS_CELL_BUDGET:
-        interned = {}
-        a_ids = np.array([interned.setdefault(ln, len(interned)) for ln in mid_a], dtype=np.int64)
-        b_ids = np.array([interned.setdefault(ln, len(interned)) for ln in mid_b], dtype=np.int64)
-        a_tb = np.array([kernels.line_hash64(ln) for ln in mid_a], dtype=np.int64)
-        b_tb = np.array([kernels.line_hash64(ln) for ln in mid_b], dtype=np.int64)
-        table = _lcs_table(a_ids, b_ids)
-        pairs.extend((i + prefix, j + prefix)
-                     for i, j in _backtrack(table, a_ids, b_ids, a_tb, b_tb))
-    pairs.extend((n - suffix + k, m - suffix + k) for k in range(suffix))
-    return pairs
+        table = lcs_table(mid_a, mid_b)
+        i, j = len(mid_a), len(mid_b)
+        while i > 0 and j > 0:
+            up, left = table[i - 1][j], table[i][j - 1]
+            if mid_a[i - 1] == mid_b[j - 1]:
+                middle.append((prefix + i - 1, prefix + j - 1))
+                i -= 1
+                j -= 1
+            elif up > left or (up == left and kernels.line_hash64(mid_a[i - 1])
+                               <= kernels.line_hash64(mid_b[j - 1])):
+                i -= 1
+            else:
+                j -= 1
+    return ([(k, k) for k in range(prefix)] + middle[::-1]
+            + [(n - suffix + k, m - suffix + k) for k in range(suffix)])
 
 
 # lines from alphabets of 1-4 symbols, so up/left ties are common, with an

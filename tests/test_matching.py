@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,12 +21,7 @@ from driftlens.matching import (
     partition,
     similarity_lines,
 )
-from test_kernels import (
-    reference_dice_batch,
-    reference_hashed_line_set,
-    reference_pack_line_sets,
-    score_profile,
-)
+from test_kernels import score_profile
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -159,59 +153,6 @@ def test_gap_test_on_shuffled_scores_equals_fraction_oracle(scores, threshold, g
     assert _gap_test_accept(score_profile(ranked[::-1]), params) == expected  # tied top last
 
 
-def reference_match_files(old_set, new_set, params=MatchParams()):
-    # match_files before dense line ids: raw hashes per file, scored by a
-    # searchsorted pass and ranked on numpy arrays, then decided by the
-    # rational gap test; the greedy pass is unchanged. Returns the matches
-    # and each accepted score.
-    matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
-    pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
-    candidates = sorted((f for f in old_set.files if f.path not in new_set),
-                        key=lambda f: f.path)
-    if not pending or not candidates:
-        return matches, {}
-    flat, offsets = reference_pack_line_sets(
-        [reference_hashed_line_set(reference_similarity_lines(f.source)) for f in candidates])
-    accepted = []
-    for f in pending:
-        query = reference_hashed_line_set(reference_similarity_lines(f.source))
-        scores = reference_dice_batch(query, flat, offsets)
-        order = np.argsort(-scores, kind="stable")
-        if fraction_gap_test_accept(scores[order].tolist(), params):
-            accepted.append((float(scores[order[0]]), f.path, candidates[order[0]].path))
-    taken, kept = set(), {}
-    for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
-        if old_path not in taken:
-            taken.add(old_path)
-            matches[new_path] = old_path
-            kept[new_path] = score
-    return matches, kept
-
-
-@pytest.mark.parametrize("seed", [3, 29])
-def test_match_files_equals_reference_on_synthetic_pair(tmp_path, monkeypatch, seed):
-    """A rename-baseline-shaped pair: same matches as the raw-hash path, true records."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    synth = importlib.import_module("synth")
-    workloads = importlib.import_module("workloads")
-    shape = dataclasses.replace(workloads.WORKLOADS["rename-baseline"].corpus, files=150)
-    paths = synth.write_pair(shape, seed, tmp_path)
-    old_set, new_set = load_version(paths["old"]), load_version(paths["new"])
-    scores = {}
-    matches = match_files(old_set, new_set, scores=scores)
-    assert (matches, scores) == reference_match_files(old_set, new_set)
-    assert sum(1 for new, old in matches.items() if old not in (None, new)) > 10
-
-    records, _ = partition(old_set, new_set, matches)
-    assert partition(old_set, new_set, matches, scores)[0] == records
-    truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
-    got = [{"new_path": r.new_file.path, "old_path": r.old_file.path if r.old_file else "",
-            "match_kind": r.match_kind, "subset": r.subset,
-            "old_label": r.old_file.label if r.old_file else "", "new_label": r.new_file.label}
-           for r in records]
-    assert got == truth
-
-
 # lines that differ only in trailing blanks or a carriage return, which
 # similarity_lines trims, plus lines that repeat within one file
 LINE_POOL = ["int x;", "int x; ", "int x;\r", "return x;", "return x;\t", "}", "  }", "",
@@ -231,7 +172,8 @@ def version_sets(draw, version):
 
 def exact_text_match_files(old_set, new_set, params):
     # Every pending x candidate pair scored by dice_similarity on line text,
-    # ranked by a stable sort; returns the matches and each accepted score.
+    # ranked by a stable sort and decided by the rational gap test; returns
+    # the matches and each accepted score.
     matches = {f.path: f.path if f.path in old_set else None for f in new_set.files}
     pending = sorted((f for f in new_set.files if matches[f.path] is None), key=lambda f: f.path)
     candidates = sorted((f for f in old_set.files if f.path not in new_set),
@@ -240,7 +182,7 @@ def exact_text_match_files(old_set, new_set, params):
     for f in pending:
         ranked = sorted(((dice_similarity(c, f), c.path) for c in candidates),
                         key=lambda t: -t[0])
-        if ranked and _gap_test_accept(score_profile([s for s, _ in ranked]), params):
+        if ranked and fraction_gap_test_accept([s for s, _ in ranked], params):
             accepted.append((ranked[0][0], f.path, ranked[0][1]))
     taken, scores = set(), {}
     for score, new_path, old_path in sorted(accepted, key=lambda t: (-t[0], t[1])):
@@ -267,6 +209,30 @@ def test_match_files_equals_exact_text_reference(old_set, new_set, threshold, ga
     similar = {r.record_id: r.similarity for r in records if r.match_kind == "similarity"}
     assert similar == scores  # bit for bit: one equality relation, one formula
     assert partition(old_set, new_set, matches, kept)[0] == records
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_match_files_equals_reference_on_synthetic_pair(tmp_path, monkeypatch, seed):
+    """A rename-baseline-shaped pair: same matches as the exact-text path, true records."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    shape = dataclasses.replace(workloads.WORKLOADS["rename-baseline"].corpus, files=150)
+    paths = synth.write_pair(shape, seed, tmp_path)
+    old_set, new_set = load_version(paths["old"]), load_version(paths["new"])
+    scores = {}
+    matches = match_files(old_set, new_set, scores=scores)
+    assert (matches, scores) == exact_text_match_files(old_set, new_set, MatchParams())
+    assert sum(1 for new, old in matches.items() if old not in (None, new)) > 10
+
+    records, _ = partition(old_set, new_set, matches)
+    assert partition(old_set, new_set, matches, scores)[0] == records
+    truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
+    got = [{"new_path": r.new_file.path, "old_path": r.old_file.path if r.old_file else "",
+            "match_kind": r.match_kind, "subset": r.subset,
+            "old_label": r.old_file.label if r.old_file else "", "new_label": r.new_file.label}
+           for r in records]
+    assert got == truth
 
 
 class TestMatchFiles:

@@ -1,7 +1,7 @@
 import itertools
+import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +11,6 @@ from driftlens.matching import EvolutionRecord
 from driftlens.baselines import predict_naive
 from driftlens.metrics import (
     ConfusionCounts,
-    _prf,
-    _safe_div,
     auc_fpr_mcc,
     evaluate_predictions,
     harmonic_mean,
@@ -24,7 +22,7 @@ from driftlens.pipeline import PredictionRow, baseline_rows
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: exhaustive confusion-matrix arithmetic, no numpy
+# independent oracles: the textbook definitions, counted pair by pair
 # ---------------------------------------------------------------------------
 
 def oracle_prf(labels, preds):
@@ -54,91 +52,40 @@ def oracle_auc(labels, scores):
     return wins / (len(pos) * len(neg))
 
 
+def rank_sum_auc(labels, scores):
+    # The Mann-Whitney AUC as a rank sum: a stable sort of the scores, each
+    # run of tied scores at its average 1-based rank, and the positives'
+    # rank sum less its least possible value, over the pair count.
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        for k in order[i:j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    pos, neg = labels.count(1), labels.count(0)
+    if not pos or not neg:
+        return 0.0
+    rank_sum = sum(r for l, r in zip(labels, ranks) if l == 1)
+    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
 def oracle_fpr_mcc(labels, preds):
     tp = sum(1 for l, p in zip(labels, preds) if l == 1 and p == 1)
     fp = sum(1 for l, p in zip(labels, preds) if l == 0 and p == 1)
     tn = sum(1 for l, p in zip(labels, preds) if l == 0 and p == 0)
     fn = sum(1 for l, p in zip(labels, preds) if l == 1 and p == 0)
     fpr = fp / (fp + tn) if fp + tn else 0.0
-    den = ((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)) ** 0.5
+    den = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
     mcc = (tp * tn - fp * fn) / den if den else 0.0
     return fpr, mcc
 
 
-def class_prf_macro(labels, preds):
-    """macro_prf as it was: one mask count per class, averaged with np.mean."""
-    labels = np.asarray(labels)
-    preds = np.asarray(preds)
-    per_class = []
-    for cls in (0, 1):
-        tp = float(np.sum((preds == cls) & (labels == cls)))
-        fp = float(np.sum((preds == cls) & (labels != cls)))
-        fn = float(np.sum((preds != cls) & (labels == cls)))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append((precision, recall, f1))
-    return tuple(float(np.mean([pc[k] for pc in per_class])) for k in range(3))
-
-
-def reference_from_labels(labels, preds):
-    # ConfusionCounts.from_labels as numpy mask counts, which broadcast a
-    # length-1 side over the other.
-    labels = np.asarray(labels)
-    preds = np.asarray(preds)
-    return ConfusionCounts(
-        tp=int(np.sum((preds == 1) & (labels == 1))),
-        fp=int(np.sum((preds == 1) & (labels == 0))),
-        tn=int(np.sum((preds == 0) & (labels == 0))),
-        fn=int(np.sum((preds == 0) & (labels == 1))),
-    )
-
-
-def reference_macro_prf(labels, preds):
-    # macro_prf on numpy arrays, mirroring the defective-class counts.
-    labels = np.asarray(labels)
-    preds = np.asarray(preds)
-    if labels.size == 0 or labels.shape != preds.shape:
-        raise ValueError("labels and preds must be equal-length and nonempty")
-    cc = reference_from_labels(labels, preds)
-    benign = _prf(cc.tn, cc.fn, cc.fp)
-    defective = _prf(cc.tp, cc.fp, cc.fn)
-    return tuple((b + d) / 2 for b, d in zip(benign, defective))
-
-
-def reference_average_ranks(scores):
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # 1-based average rank
-        i = j + 1
-    return ranks
-
-
-def reference_auc_fpr_mcc(labels, preds_or_scores):
-    # auc_fpr_mcc on float64 arrays: mergesort ranks, a numpy rank sum and np.sqrt.
-    labels = np.asarray(labels)
-    scores = np.asarray(preds_or_scores, dtype=np.float64)
-    if labels.size == 0 or labels.shape != scores.shape:
-        raise ValueError("labels and scores must be equal-length and nonempty")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos and n_neg:
-        ranks = reference_average_ranks(scores)
-        auc = (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    else:
-        auc = 0.0
-    cc = reference_from_labels(labels, (scores > 0.5).astype(np.int64))
-    fpr = _safe_div(cc.fp, cc.fp + cc.tn)
-    mcc_den = np.sqrt(float(cc.tp + cc.fp) * float(cc.tp + cc.fn)
-                      * float(cc.tn + cc.fp) * float(cc.tn + cc.fn))
-    mcc = _safe_div(cc.tp * cc.tn - cc.fp * cc.fn, mcc_den)
-    return float(auc), float(fpr), float(mcc)
+def reference_auc_fpr_mcc(labels, preds):
+    return (rank_sum_auc(labels, preds), *oracle_fpr_mcc(labels, preds))
 
 
 def as_hex(values):
@@ -149,16 +96,16 @@ binary_pairs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_siz
                         max_size=80)
 
 
-class TestNumpyReferences:
+class TestBitExactReferences:
     @settings(max_examples=400, deadline=None)
     @given(binary_pairs)
-    def test_macro_prf_equals_numpy(self, pairs):
+    def test_macro_prf_equals_oracle(self, pairs):
         labels, preds = [l for l, _ in pairs], [p for _, p in pairs]
-        assert as_hex(macro_prf(labels, preds)) == as_hex(reference_macro_prf(labels, preds))
+        assert as_hex(macro_prf(labels, preds)) == as_hex(oracle_prf(labels, preds))
 
     @settings(max_examples=400, deadline=None)
     @given(binary_pairs)
-    def test_auc_fpr_mcc_equals_numpy(self, pairs):
+    def test_auc_fpr_mcc_equals_rank_sum(self, pairs):
         labels, preds = [l for l, _ in pairs], [p for _, p in pairs]
         got = auc_fpr_mcc(labels, preds)
         assert all(type(v) is float for v in got)
@@ -167,7 +114,7 @@ class TestNumpyReferences:
 
 def test_confusion_counts_reject_unequal_lengths():
     with pytest.raises(ValueError):
-        ConfusionCounts.from_labels([1, 0, 1], [1])  # numpy broadcast this to tp=2, fp=1
+        ConfusionCounts.from_labels([1, 0, 1], [1])  # a broadcast would count tp=2, fp=1
     with pytest.raises(ValueError):
         ConfusionCounts.from_labels([1], [1, 1])
     assert ConfusionCounts.from_labels([], []) == ConfusionCounts(0, 0, 0, 0)
@@ -182,24 +129,21 @@ def test_labels_and_predictions_outside_0_1_rejected(labels, preds):
             score(labels, preds)
 
 
-def rank_sum_reference_on_counts(tp, fp, tn, fn):
-    """reference_auc_fpr_mcc over the vectors of each confusion matrix, as float64 arrays.
+def rank_sum_on_counts(tp, fp, tn, fn):
+    """reference_auc_fpr_mcc over the vectors of one confusion matrix, from its counts.
 
-    Predictions 0 and 1 form two ties, which mergesort ranks take as 0-based
+    Predictions 0 and 1 form two ties, which a stable sort ranks as 0-based
     runs [0, n0) and [n0, n0 + n1), each at its average 1-based rank.
     """
-    n0, n1 = (tn + fn).astype(np.float64), (tp + fp).astype(np.float64)
+    n0, n1 = tn + fn, tp + fp
     rank0 = (0 + (n0 - 1)) / 2.0 + 1.0
     rank1 = (n0 + (n0 + n1 - 1)) / 2.0 + 1.0
     pos, neg = tp + fn, tn + fp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        auc = (fn * rank0 + tp * rank1 - pos * (pos + 1) / 2.0) / (pos * neg)
-        fpr = fp / (fp + tn)
-        den = np.sqrt((tp + fp).astype(np.float64) * (tp + fn).astype(np.float64)
-                      * (tn + fp).astype(np.float64) * (tn + fn).astype(np.float64))
-        mcc = (tp * tn - fp * fn) / den
-    return (np.where(pos * neg > 0, auc, 0.0), np.where(fp + tn > 0, fpr, 0.0),
-            np.where(den > 0, mcc, 0.0))
+    auc = (fn * rank0 + tp * rank1 - pos * (pos + 1) / 2.0) / (pos * neg) if pos * neg else 0.0
+    fpr = fp / (fp + tn) if fp + tn else 0.0
+    den = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+    mcc = (tp * tn - fp * fn) / den if den else 0.0
+    return auc, fpr, mcc
 
 
 def vectors_with_counts(tp, fp, tn, fn):
@@ -210,12 +154,12 @@ def vectors_with_counts(tp, fp, tn, fn):
 def test_auc_fpr_mcc_equals_rank_sum_on_every_small_confusion_matrix():
     grid = [m for m in itertools.product(range(23), repeat=4) if any(m)]
     assert len(grid) == 279_840
-    want = rank_sum_reference_on_counts(*np.array(grid, dtype=np.int64).T)
     for k in range(0, len(grid), 4099):  # spot checks: the closed form is the reference
         assert as_hex(reference_auc_fpr_mcc(*vectors_with_counts(*grid[k]))) == \
-            as_hex(w[k] for w in want)
-    for counts, *expected in zip(grid, *(w.tolist() for w in want)):
-        assert as_hex(auc_fpr_mcc(*vectors_with_counts(*counts))) == as_hex(expected), counts
+            as_hex(rank_sum_on_counts(*grid[k]))
+    for counts in grid:
+        assert as_hex(auc_fpr_mcc(*vectors_with_counts(*counts))) == \
+            as_hex(rank_sum_on_counts(*counts)), counts
 
 
 def row(record_id, subset, new_label, pred_label, old_label=None):
@@ -265,7 +209,7 @@ class TestMacroPRF:
     def test_bit_identical_to_per_class_counts(self, pairs):
         labels = [label for label, _ in pairs]
         preds = [pred for _, pred in pairs]
-        assert macro_prf(labels, preds) == class_prf_macro(labels, preds)
+        assert macro_prf(labels, preds) == oracle_prf(labels, preds)
 
 
 class TestAucFprMcc:

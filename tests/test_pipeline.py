@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import typing
 from pathlib import Path
@@ -189,6 +190,29 @@ class TestMethodRun:
         assert report.counts["D01"] == 1
         with open(artifacts["predictions"], newline="") as fh:
             assert [row["record_id"] for row in csv.DictReader(fh)] == ["pkg/Del.java"]
+
+    @pytest.mark.parametrize("method", ["M0", "M1", "M6"])
+    def test_an_empty_source_file_renders_as_an_empty_block(self, tmp_path, method):
+        # one file emptied, one grown from an empty file: both are transition
+        # records whose [SRC1], [SRC2] or [Local Context] block is empty
+        old_files = (java_file("pkg/Emptied.java", "return 1;", 0, "v1"),
+                     VersionedFile("pkg/Grown.java", "", 1, "v1"),
+                     java_file("pkg/Same.java", "return a;", 0, "v1"))
+        new_files = (VersionedFile("pkg/Emptied.java", "", 1, "v2"),
+                     java_file("pkg/Grown.java", "return 2;", 0, "v2"),
+                     java_file("pkg/Same.java", "return a;", 0, "v2"))
+        old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
+        write_version(VersionSet("v1", "demo", old_files), old_csv)
+        write_version(VersionSet("v2", "demo", new_files), new_csv)
+        config = RunConfig(old_csv=str(old_csv), new_csv=str(new_csv), method=method, stub=True,
+                           out_dir=str(tmp_path / "out"))
+        report, artifacts = pipeline.run(config)
+        assert (report.counts["D01"], report.counts["B10"]) == (1, 1)
+        for name in ("matches", "records", "predictions", "report_txt", "report_csv", "manifest"):
+            assert artifacts[name].is_file(), name
+        with open(artifacts["predictions"], newline="") as fh:
+            assert sorted(row["record_id"] for row in csv.DictReader(fh)) == [
+                "pkg/Emptied.java", "pkg/Grown.java"]
 
     def test_stub_mode_zero_network(self, corpus, tmp_path):
         calls = []
@@ -425,6 +449,40 @@ def assert_evaluate_prints_run_report(config, capsys, client=None):
     assert re.fullmatch(r"# elapsed_seconds: \d+\.\d{3}", manifest[2])
     assert pipeline.load_config(artifacts["manifest"]) == config
     return report
+
+
+def test_test_modules_import_without_numpy():
+    """Every tests/test_*.py module imports with numpy blocked.
+
+    This covers module imports only: a test body may still load numpy, as
+    the tests of test_perfbench_contract.py do when they load
+    perfbench/worker.py. The block is a finder that fails every numpy
+    import; a None entry in sys.modules would break hypothesis itself, which
+    reads sys.modules["numpy"].ndarray whenever the key is present.
+    """
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
+    names = sorted(path.stem for path in tests.glob("test_*.py"))
+    probe = textwrap.dedent(f"""\
+        import importlib, sys
+
+        class NoNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "numpy":
+                    raise ModuleNotFoundError(f"numpy is blocked: {{name}}")
+
+        sys.meta_path.insert(0, NoNumpy())
+        for name in {names!r}:
+            try:
+                importlib.import_module(name)
+            except Exception as exc:
+                print(name, repr(exc))
+        """)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == ""
+    assert "test_kernels" in names and "test_pipeline" in names
 
 
 class TestCli:
