@@ -101,14 +101,12 @@ class RunConfig:
                 f"depth and max_lines must be >= 0, got {self.depth} and {self.max_lines}")
         if self.exemplar_count < 0:
             raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
-        needs = REQUIRED_INPUTS.get(self.method, ())
+        who, needs = self.method, REQUIRED_INPUTS.get(self.method, ())
+        if self.debate:
+            who, needs = "the debate", [name for role in ROLES for name in REQUIRED_INPUTS[role]]
         if "exemplars" in needs and self.exemplar_count < 1:
-            raise ConfigurationError(
-                f"{self.method} needs exemplar_count >= 1, got {self.exemplar_count}")
-        # every debate role reads the expanded context, as does the analyzer prompt alone
-        if self.max_lines < 1 and ("local_context" in needs or self.debate
-                                   or self.method == "analyzer"):
-            who = "the debate" if self.debate else self.method
+            raise ConfigurationError(f"{who} needs exemplar_count >= 1, got {self.exemplar_count}")
+        if "local_context" in needs and self.max_lines < 1:
             raise ConfigurationError(f"{who} needs max_lines >= 1, got {self.max_lines}")
         self.match_params()
 
@@ -258,10 +256,18 @@ def pick_exemplars(old_set, count: int, seed: int) -> list[str]:
 
 
 def method_exemplars(config: RunConfig, old_set) -> list[str] | None:
-    """The exemplars config.method's prompt shows, or None when it shows none."""
+    """The exemplars config.method's prompt shows, or None when it shows none.
+
+    Raises ConfigurationError when the prompt shows exemplars and the old
+    version has no defective file to take them from.
+    """
     if "exemplars" not in REQUIRED_INPUTS.get(config.method, ()):
         return None
-    return pick_exemplars(old_set, config.exemplar_count, config.seed)
+    exemplars = pick_exemplars(old_set, config.exemplar_count, config.seed)
+    if not exemplars:
+        raise ConfigurationError(f"{config.method} shows defective examples, "
+                                 f"but {config.old_csv} has no defective file")
+    return exemplars
 
 
 def record_materials(record, config: RunConfig, need_context: bool):
@@ -465,6 +471,7 @@ def run(config: RunConfig, client=None):
 
     with _stage("load"):
         old_set, new_set = load_sets(config)
+    exemplars = method_exemplars(config, old_set)  # before any artifact is written
 
     with _stage("match"):
         scores: dict[str, float] = {}
@@ -487,8 +494,7 @@ def run(config: RunConfig, client=None):
             if client is None:
                 client = make_client(config)
             if selector == "method":
-                rows = predict_with_method(sampled, config, client,
-                                           method_exemplars(config, old_set))
+                rows = predict_with_method(sampled, config, client, exemplars)
             else:
                 transcripts_dir = out_dir / "transcripts"
                 rows = predict_with_debate(sampled, config, client, transcripts_dir)

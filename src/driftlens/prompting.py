@@ -1,19 +1,22 @@
 """Prompt construction for single-shot methods M0-M8 and the debate roles.
 
-Every method prompt shares one fixed system prompt and ends with the JSON
-output instruction; the judge role instead carries the marker-based output
-contract. The previous defect label is parameterized (the benign-prior
-subsets need it), and it appears only where a role is entitled to it.
+Every prompt is a template, and its fields are its inputs: REQUIRED_INPUTS
+is read off the templates, so what each method or role may see is written
+down once, in its text. One renderer fills the fields from a record's
+materials and appends the prompt's tail: the JSON output instruction, the
+judge's marker contract or the analyzer's answer list, kept out of the
+templates because they hold braces. All prompts share one system prompt.
+The previous defect label is the field {prev}; of the roles, only the
+judge's template has it, once, after PREV_LABEL_MARKER.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from .diffing import render_difference_list
 from .errors import ConfigurationError, OrchestrationError
-
-METHOD_IDS = tuple(f"M{i}" for i in range(9))
-ROLES = ("analyzer", "proposer", "skeptic", "judge")
 
 LABEL_WORDS = {0: "Benign", 1: "Defective"}
 PREV_LABEL_MARKER = "Previous label:"
@@ -34,19 +37,6 @@ JUDGE_CONTRACT = """Conclude your response with exactly these two lines:
 ### Final Prediction: <BENIGN or DEFECTIVE>
 ### Confidence: <confidence_percentage>"""
 
-# Inputs each method consumes; prompts must contain these blocks and no others.
-REQUIRED_INPUTS = {
-    "M0": frozenset({"src2"}),
-    "M1": frozenset({"src1", "src2", "prev_label"}),
-    "M2": frozenset({"src1", "src2", "differences", "prev_label"}),
-    "M3": frozenset({"src1", "src2", "differences", "unified", "prev_label"}),
-    "M4": frozenset({"src1", "differences", "unified", "prev_label"}),
-    "M5": frozenset({"differences", "unified", "prev_label"}),
-    "M6": frozenset({"local_context", "differences", "prev_label"}),
-    "M7": frozenset({"differences", "unified", "exemplars", "prev_label"}),
-    "M8": frozenset({"differences", "unified", "prev_label"}),
-}
-
 BLOCK_NAMES = {
     "src1": "[SRC1]",
     "src2": "[SRC2]",
@@ -54,7 +44,7 @@ BLOCK_NAMES = {
     "unified": "[Unified diff]",
     "local_context": "[Local Context]",
     "exemplars": "[Defective Examples]",
-    "prev_label": "previous label",
+    "prev": "previous label",
 }
 
 METHOD_TEMPLATES = {
@@ -180,22 +170,50 @@ Compare the diffs and examples of defective code. Does SRC2 appear Defective or 
 Think step by step and decide the final status of SRC2.""",
 }
 
-_ROLE_PREAMBLE = {
+_EVIDENCE = "\n\n[Unified diff]\n{unified}\n\n[Expanded Context]\n{local_context}"
+_HISTORY = "\n\n[Debate so far]\n{history}"
+
+ROLE_TEMPLATES = {
     "analyzer": """You are the Analyzer in a structured code review debate over whether a changed source file is Defective or Benign.
 Examine the code change and its expanded file-local context. Summarize what the change does, then list plausible benign and defective interpretations of it.
-Do not assign a label and do not state a final verdict.""",
+Do not assign a label and do not state a final verdict.""" + _EVIDENCE,
     "proposer": """You are the Proposer in a structured code review debate over whether a changed source file is Defective or Benign.
-Based on the evidence and the debate so far, state whether the updated file should keep or change its previous defect status, and support the claim with specific evidence from the change.""",
+Based on the evidence and the debate so far, state whether the updated file should keep or change its previous defect status, and support the claim with specific evidence from the change.""" + _EVIDENCE + _HISTORY,
     "skeptic": """You are the Skeptic in a structured code review debate over whether a changed source file is Defective or Benign.
-Challenge the Proposer's claim: point out weaknesses, alternative explanations, or missed cases in the arguments made so far.""",
+Challenge the Proposer's claim: point out weaknesses, alternative explanations, or missed cases in the arguments made so far.""" + _EVIDENCE + _HISTORY,
     "judge": """You are the Judge in a structured code review debate over whether a changed source file is Defective or Benign.
-Weigh the arguments exchanged by the other roles and decide the final status of the updated file, with a confidence score.""",
+Weigh the arguments exchanged by the other roles and decide the final status of the updated file, with a confidence score.""" + _EVIDENCE + f"\n\n{PREV_LABEL_MARKER} {{prev}}" + _HISTORY,
 }
 
 _ANALYZER_TAIL = """Respond with:
 1. A concise summary of the change.
 2. Plausible benign interpretations.
 3. Plausible defective interpretations."""
+
+# What follows each prompt's rendered template; every other prompt ends with JSON_INSTRUCTION.
+_TAILS = {"analyzer": _ANALYZER_TAIL, "judge": JUDGE_CONTRACT}
+
+_TEMPLATES = {**METHOD_TEMPLATES, **ROLE_TEMPLATES}
+METHOD_IDS = tuple(METHOD_TEMPLATES)
+ROLES = tuple(ROLE_TEMPLATES)
+
+# Each prompt's inputs are its template's fields, in the order they first appear.
+REQUIRED_INPUTS = {prompt_id: tuple(dict.fromkeys(re.findall(r"\{(\w+)\}", template)))
+                   for prompt_id, template in _TEMPLATES.items()}
+
+_RENDER = {
+    "prev": lambda old: LABEL_WORDS[old.label],
+    "src1": lambda old: old.source,
+    "src2": lambda source: source,
+    "differences": render_difference_list,
+    "unified": lambda cs: cs.unified,
+    "local_context": lambda ctx: ctx.snippet,
+    "exemplars": lambda snippets: "\n\n".join(
+        f"Example {i}:\n{snippet}" for i, snippet in enumerate(snippets, start=1)),
+    "history": lambda history: "\n\n".join(
+        f"--- {role.capitalize()} (round {round_no}) ---\n{text}"
+        for role, round_no, text in history),
+}
 
 
 @dataclass(frozen=True)
@@ -204,65 +222,36 @@ class PromptBundle:
     user: str
 
 
-def _require(method_id: str, name: str, value) -> None:
-    # Only an absent input is missing: an empty file renders as an empty block.
-    if value is None:
-        raise ConfigurationError(f"{method_id} requires {BLOCK_NAMES[name]}")
+def _render(prompt_id: str, record, cs, ctx, exemplars, history) -> PromptBundle:
+    """Fill prompt_id's template from the inputs its fields name, then add its tail.
 
-
-def _render_exemplars(exemplars) -> str:
-    blocks = []
-    for i, snippet in enumerate(exemplars, start=1):
-        blocks.append(f"Example {i}:\n{snippet}")
-    return "\n\n".join(blocks)
+    An input of None (or no exemplars) is absent and raises ConfigurationError
+    naming its block; an empty file is present and renders as an empty block.
+    """
+    inputs = {"prev": record.old_file, "src1": record.old_file, "src2": record.new_file.source,
+              "differences": cs, "unified": cs, "local_context": ctx,
+              "exemplars": exemplars or None, "history": history}
+    values = {}
+    for name in REQUIRED_INPUTS[prompt_id]:
+        if inputs[name] is None:
+            raise ConfigurationError(f"{prompt_id} requires {BLOCK_NAMES[name]}")
+        values[name] = _RENDER[name](inputs[name])
+    body = _TEMPLATES[prompt_id].format(**values)
+    return PromptBundle(system=SYSTEM_PROMPT,
+                        user=f"{body}\n\n{_TAILS.get(prompt_id, JSON_INSTRUCTION)}")
 
 
 def build_method_prompt(method_id: str, record, cs, ctx=None,
                         exemplars: list[str] | None = None) -> PromptBundle:
     """Render one M0-M8 prompt from a record's materials.
 
-    The literal previous-label slot of the templates is filled with the
-    record's actual old label. Raises ConfigurationError naming the missing
-    block when a required input is absent.
+    The previous-label field of the templates is filled with the record's
+    actual old label. Raises ConfigurationError naming the missing block
+    when a required input is absent.
     """
-    required = REQUIRED_INPUTS.get(method_id)
-    if required is None:
+    if method_id not in METHOD_TEMPLATES:
         raise ConfigurationError(f"unknown method {method_id!r}; expected one of {METHOD_IDS}")
-    values = {}
-    if "prev_label" in required:
-        if record.old_file is None:
-            raise ConfigurationError(f"{method_id} requires {BLOCK_NAMES['prev_label']}")
-        values["prev"] = LABEL_WORDS[record.old_file.label]
-    if "src1" in required:
-        _require(method_id, "src1", record.old_file)
-        values["src1"] = record.old_file.source
-    if "src2" in required:
-        _require(method_id, "src2", record.new_file.source)
-        values["src2"] = record.new_file.source
-    if "differences" in required:
-        from .diffing import render_difference_list
-
-        _require(method_id, "differences", cs)
-        values["differences"] = render_difference_list(cs)
-    if "unified" in required:
-        _require(method_id, "unified", cs)
-        values["unified"] = cs.unified
-    if "local_context" in required:
-        _require(method_id, "local_context", ctx)
-        values["local_context"] = ctx.snippet
-    if "exemplars" in required:
-        _require(method_id, "exemplars", exemplars or None)
-        values["exemplars"] = _render_exemplars(exemplars)
-
-    user = METHOD_TEMPLATES[method_id].format(**values) + "\n\n" + JSON_INSTRUCTION
-    return PromptBundle(system=SYSTEM_PROMPT, user=user)
-
-
-def _render_history(history) -> str:
-    blocks = []
-    for role, round_no, text in history:
-        blocks.append(f"--- {role.capitalize()} (round {round_no}) ---\n{text}")
-    return "\n\n".join(blocks)
+    return _render(method_id, record, cs, ctx, exemplars, ())
 
 
 def build_role_prompt(role: str, record, cs, ctx, history=(), round_no: int = 0) -> PromptBundle:
@@ -286,20 +275,6 @@ def build_role_prompt(role: str, record, cs, ctx, history=(), round_no: int = 0)
             f"got {len(history)}")
     if role == "judge" and len(history) < 3:
         raise OrchestrationError("judge requires the full debate history")
-
-    sections = [_ROLE_PREAMBLE[role], f"[Unified diff]\n{cs.unified}"]
-    sections.append(f"[Expanded Context]\n{ctx.snippet if ctx else ''}")
-    if role == "judge":
-        if record.old_file is None:
-            raise OrchestrationError("judge requires a record with a previous label")
-        sections.append(f"{PREV_LABEL_MARKER} {LABEL_WORDS[record.old_file.label]}")
-    if role != "analyzer":
-        sections.append(f"[Debate so far]\n{_render_history(history)}")
-    if role == "analyzer":
-        sections.append(_ANALYZER_TAIL)
-    elif role == "judge":
-        sections.append(JUDGE_CONTRACT)
-    else:
-        sections.append(JSON_INSTRUCTION)
-
-    return PromptBundle(system=SYSTEM_PROMPT, user="\n\n".join(sections))
+    if role == "judge" and record.old_file is None:
+        raise OrchestrationError("judge requires a record with a previous label")
+    return _render(role, record, cs, ctx, None, history)

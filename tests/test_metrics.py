@@ -97,7 +97,7 @@ binary_pairs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_siz
 
 
 class TestBitExactReferences:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(binary_pairs)
     def test_macro_prf_equals_oracle(self, pairs):
         labels, preds = [l for l, _ in pairs], [p for _, p in pairs]
@@ -203,13 +203,6 @@ class TestMacroPRF:
             got = macro_prf(labels, preds)
             want = oracle_prf(labels, preds)
             assert got == pytest.approx(want, abs=1e-12)
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
-    def test_bit_identical_to_per_class_counts(self, pairs):
-        labels = [label for label, _ in pairs]
-        preds = [pred for _, pred in pairs]
-        assert macro_prf(labels, preds) == oracle_prf(labels, preds)
 
 
 class TestAucFprMcc:

@@ -498,7 +498,7 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         unused = ("numpy", "concurrent.futures", "logging", "hashlib", "_hashlib", "typing",
-                  "urllib.request", "http.client", "ssl", "requests")
+                  "urllib.request", "http.client", "ssl", "requests", "string")
         probe = f"import sys, driftlens.cli; print([m for m in {unused!r} if m in sys.modules])"
         done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
@@ -688,6 +688,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert [p.name for p in outs.iterdir()] == ["kept.csv"]
         assert kept.read_text(encoding="utf-8") == "untouched\n"
+
+    def test_m7_without_a_defective_old_file_writes_nothing(self, tmp_path, capsys):
+        old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
+        write_version(VersionSet("v1", "demo", (java_file("A.java", "return a;", 0, "v1"),
+                                                java_file("B.java", "return 1;", 0, "v1"))),
+                      old_csv)
+        write_version(VersionSet("v2", "demo", (java_file("A.java", "return a;", 1, "v2"),
+                                                java_file("B.java", "return 2;", 0, "v2"))),
+                      new_csv)
+        out_dir = tmp_path / "out"
+        assert cli_main(["predict", "--old", str(old_csv), "--new", str(new_csv),
+                         "--method", "M7", "--stub", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: M7 ") and str(old_csv) in err
+        assert list(out_dir.glob("**/*")) == []
 
     def test_prompt_rejects_an_unknown_method_before_loading(self, tmp_path, capsys):
         # the inputs do not exist: the error must name the method, not the file

@@ -10,6 +10,8 @@ from driftlens.prompting import (
     JUDGE_CONTRACT,
     METHOD_IDS,
     PREV_LABEL_MARKER,
+    REQUIRED_INPUTS,
+    ROLES,
     SYSTEM_PROMPT,
     build_method_prompt,
     build_role_prompt,
@@ -96,29 +98,64 @@ def test_m8_semantic_repair_checklist(materials):
     assert "introduce a new defect" in bundle.user
 
 
+# What the paper lets each predictor see, in template order. The Analyzer,
+# Proposer and Skeptic never see the previous label; the Judge does.
+PAPER_INPUTS = {
+    "M0": ("src2",),
+    "M1": ("prev", "src1", "src2"),
+    "M2": ("prev", "src1", "src2", "differences"),
+    "M3": ("prev", "src1", "src2", "differences", "unified"),
+    "M4": ("prev", "src1", "differences", "unified"),
+    "M5": ("prev", "differences", "unified"),
+    "M6": ("prev", "local_context", "differences"),
+    "M7": ("prev", "differences", "unified", "exemplars"),
+    "M8": ("prev", "differences", "unified"),
+    "analyzer": ("unified", "local_context"),
+    "proposer": ("unified", "local_context", "history"),
+    "skeptic": ("unified", "local_context", "history"),
+    "judge": ("unified", "local_context", "prev", "history"),
+}
+
 BLOCK_MARKERS = {
+    "prev": "\n[SRC1] → ",
     "src1": "\n[SRC1]\n",
     "src2": "\n[SRC2]\n",
     "differences": "\n[Differences]\n",
     "unified": "\n[Unified diff]\n",
     "local_context": "\n[Local Context]\n",
     "exemplars": "\n[Defective Examples]\n",
+    "history": "\n[Debate so far]\n",
 }
+# the debate roles title the label and the context differently
+ROLE_MARKERS = {**BLOCK_MARKERS, "prev": f"\n{PREV_LABEL_MARKER} ",
+                "local_context": "\n[Expanded Context]\n"}
+
+DEBATE = [("analyzer", 0, "m1"), ("proposer", 1, "m2"), ("skeptic", 1, "m3")]
+ROLE_TURNS = {"analyzer": (0, 0), "proposer": (1, 1), "skeptic": (2, 1), "judge": (3, 2)}
 
 
-def test_every_method_has_required_blocks_and_no_excluded_ones(materials):
-    from driftlens.prompting import REQUIRED_INPUTS
+def test_required_inputs_are_the_papers():
+    assert REQUIRED_INPUTS == PAPER_INPUTS
+    assert (*METHOD_IDS, *ROLES) == tuple(REQUIRED_INPUTS) == tuple(PAPER_INPUTS)
 
+
+def test_every_prompt_has_required_blocks_and_no_excluded_ones(materials):
     record, cs, ctx = materials
-    for method_id in METHOD_IDS:
-        bundle = build_method_prompt(method_id, record, cs, ctx=ctx, exemplars=["bad line"])
+    for prompt_id, required in PAPER_INPUTS.items():
+        if prompt_id in ROLES:
+            messages, round_no = ROLE_TURNS[prompt_id]
+            bundle = build_role_prompt(prompt_id, record, cs, ctx,
+                                       history=DEBATE[:messages], round_no=round_no)
+            markers = ROLE_MARKERS
+        else:
+            bundle = build_method_prompt(prompt_id, record, cs, ctx=ctx, exemplars=["bad line"])
+            markers = BLOCK_MARKERS
         user = "\n" + bundle.user  # so a block at the start still matches
-        required = REQUIRED_INPUTS[method_id]
-        for input_name, marker in BLOCK_MARKERS.items():
+        for input_name, marker in markers.items():
             if input_name in required:
-                assert marker in user, (method_id, input_name)
+                assert marker in user, (prompt_id, input_name)
             else:
-                assert marker not in user, (method_id, input_name)
+                assert marker not in user, (prompt_id, input_name)
 
 
 def test_all_methods_render_without_placeholder_residue(materials):
@@ -182,6 +219,11 @@ class TestRolePrompts:
         assert f"{PREV_LABEL_MARKER} Defective" in bundle.user
         assert bundle.user.index("m1") < bundle.user.index("m2") < bundle.user.index("m3")
         assert JUDGE_CONTRACT in bundle.user
+
+    def test_role_without_context_names_the_block(self, materials):
+        record, cs, _ = materials
+        with pytest.raises(ConfigurationError, match=r"analyzer requires \[Local Context\]"):
+            build_role_prompt("analyzer", record, cs, None)
 
     def test_judge_requires_history(self, materials):
         record, cs, ctx = materials
