@@ -119,7 +119,7 @@ def cmd_context(args) -> int:
     _, ctx = pipeline.record_materials(record, config, need_context=True)
     print(ctx.snippet)
     if ctx.truncated:
-        print(f"# truncated to {ctx.line_budget} lines: {len(ctx.kept_methods)} of "
+        print(f"# truncated to {config.max_lines} lines: {len(ctx.kept_methods)} of "
               f"{len(ctx.included_methods)} visited methods start inside", file=sys.stderr)
     return 0
 

@@ -82,7 +82,6 @@ class MethodSpan:
     """One detected method: its name, declaration line, and body extent."""
 
     name: str
-    signature: str
     start_line: int    # 1-based, inclusive
     end_line: int      # 1-based, inclusive
     body: str
@@ -110,8 +109,6 @@ class ContextBundle:
     included_methods: tuple[str, ...]
     kept_methods: tuple[str, ...]
     truncated: bool
-    depth_used: int
-    line_budget: int
 
     @property
     def line_count(self) -> int:
@@ -224,7 +221,6 @@ def extract_methods(source: str) -> list[MethodSpan]:
             claimed.add((start_line, end_line))
             spans.append(MethodSpan(
                 name=name,
-                signature=lines[start_line - 1],
                 start_line=start_line,
                 end_line=end_line,
                 body=source[line_starts[start_line - 1]:line_starts[end_line] - 1],
@@ -312,8 +308,7 @@ def extract_context(cs, source: str, depth: int, max_lines: int) -> ContextBundl
     order = list(seeds)
     seen = set(seeds)
     frontier = list(seeds)
-    waves = 0
-    while frontier and waves < depth:
+    for _ in range(depth):
         nxt: list[str] = []
         for name in frontier:
             for nb in sorted(neighbours[name], key=first_line.__getitem__):
@@ -324,7 +319,6 @@ def extract_context(cs, source: str, depth: int, max_lines: int) -> ContextBundl
         if not nxt:
             break
         frontier = nxt
-        waves += 1
 
     # (method name or None for a raw window, text) in render order: the
     # seeds, then the windows around changed lines outside every method, as
@@ -353,6 +347,4 @@ def extract_context(cs, source: str, depth: int, max_lines: int) -> ContextBundl
         included_methods=tuple(order),
         kept_methods=tuple(kept),
         truncated=len(parts) > max_lines,
-        depth_used=waves,
-        line_budget=max_lines,
     )

@@ -207,16 +207,6 @@ class VersionSet:
         return sum(f.label for f in self.files) / len(self.files)
 
 
-def _skip_bom(fh) -> None:
-    """Move a text file opened at its start past one byte-order mark, if it has one.
-
-    Skipped before the CSV is parsed, the mark is gone from a quoted first
-    header cell too; U+FEFF anywhere else is kept.
-    """
-    if fh.read(1) != "\ufeff":
-        fh.seek(0)
-
-
 def _pick_column(header: list[str], explicit: str | None, candidates: tuple[str, ...],
                  role: str) -> str:
     if explicit is not None:
@@ -257,8 +247,7 @@ def load_version(csv_path: str | Path, label_column: str | None = None,
         raise ConfigurationError(f"dataset file not found: {csv_path}")
     vid = version_id if version_id is not None else csv_path.stem
 
-    with open(csv_path, newline="\n", encoding="utf-8", errors="replace") as fh:
-        _skip_bom(fh)
+    with open(csv_path, newline="\n", encoding="utf-8-sig", errors="replace") as fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)

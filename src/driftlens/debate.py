@@ -70,7 +70,6 @@ class DebateTransportFailure(DriftlensError):
                  cause: TransportError):
         super().__init__(f"debate for {record_id} aborted: {cause}")
         self.partial_messages = tuple(partial)
-        self.cause = cause
 
 
 _REASK_REMINDER = (

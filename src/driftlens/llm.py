@@ -53,7 +53,6 @@ class ChatRequest:
 class ParsedPrediction:
     label: int | None
     confidence: float | None = None
-    explanation: str | None = None
     parse_path: str = "failed"   # json | marker | regex_fallback | failed
 
     def __post_init__(self):
@@ -76,7 +75,6 @@ class RetryPolicy:
 class CallStats:
     calls: int = 0
     attempts: int = 0
-    total_latency: float = 0.0
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
@@ -168,7 +166,6 @@ class HttpChatClient:
         last_status = None
         with self._gate:
             for attempt in range(self.retry_policy.max_attempts):
-                started = time.monotonic()
                 try:
                     status, body = self.transport(self.url, headers, payload, self.timeout)
                 except TransportError:
@@ -176,12 +173,11 @@ class HttpChatClient:
                         raise
                     self.sleep(self.retry_policy.delay(attempt))
                     continue
-                elapsed = time.monotonic() - started
                 if status in (401, 403):
                     raise ConfigurationError(f"authentication failed (HTTP {status})")
                 if status == 200:
                     content = _reply_content(body)
-                    self._record(attempt + 1, elapsed, body)
+                    self._record(attempt + 1, body)
                     return content
                 last_status = status
                 if status not in self.RETRYABLE:
@@ -192,11 +188,10 @@ class HttpChatClient:
             f"retries exhausted after {self.retry_policy.max_attempts} attempts "
             f"(last status {last_status})", last_status)
 
-    def _record(self, attempts, elapsed, body):
+    def _record(self, attempts, body):
         with self._lock:
             self.stats.calls += 1
             self.stats.attempts += attempts
-            self.stats.total_latency += elapsed
             usage = body.get("usage")
             if not isinstance(usage, dict):
                 usage = {}
@@ -284,12 +279,7 @@ def _parse_json_shape(raw: str) -> ParsedPrediction | None:
     prediction = obj.get("prediction")
     if not isinstance(prediction, str) or prediction.strip().lower() not in ("defective", "benign"):
         return None
-    explanation = obj.get("explanation")
-    return ParsedPrediction(
-        label=_label_from_word(prediction.strip()),
-        explanation=explanation if isinstance(explanation, str) else None,
-        parse_path="json",
-    )
+    return ParsedPrediction(label=_label_from_word(prediction.strip()), parse_path="json")
 
 
 def _parse_markers(raw: str) -> ParsedPrediction | None:

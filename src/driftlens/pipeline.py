@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .baselines import BASELINE_KINDS, predict_naive
 from .context import extract_context
-from .corpus import _csv_rows, _skip_bom, load_version, normalize_lines
+from .corpus import _csv_rows, load_version, normalize_lines
 from .debate import DebateConfig, run_debate, save_transcript
 from .diffing import diff
 from .errors import ConfigurationError, DataError, PipelineStageError
@@ -213,16 +213,11 @@ def make_client(config: RunConfig, transport=None):
 
 
 def load_sets(config: RunConfig):
-    kwargs = {}
-    if config.path_column:
-        kwargs["path_column"] = config.path_column
-    if config.label_column:
-        kwargs["label_column"] = config.label_column
-    if config.source_column:
-        kwargs["source_column"] = config.source_column
-    old_set = load_version(config.old_csv, dataset_name=config.dataset, **kwargs)
-    new_set = load_version(config.new_csv, dataset_name=config.dataset, **kwargs)
-    return old_set, new_set
+    columns = {"path_column": config.path_column or None,
+               "label_column": config.label_column or None,
+               "source_column": config.source_column or None}
+    return (load_version(config.old_csv, dataset_name=config.dataset, **columns),
+            load_version(config.new_csv, dataset_name=config.dataset, **columns))
 
 
 def sample_records(records, caps: dict[str, int], seed: int):
@@ -408,12 +403,11 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
     file that write_predictions_csv wrote, that is the line the record is on.
     """
     try:
-        fh = open(path, newline="\n", encoding="utf-8")
+        fh = open(path, newline="\n", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(f"cannot read predictions {path}: {exc.strerror}") from exc
     with fh:
         try:
-            _skip_bom(fh)
             rows = _prediction_rows(path, _csv_rows(fh))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
@@ -465,7 +459,6 @@ def run(config: RunConfig, client=None):
     """Execute a full configured run; returns (report, artifact paths)."""
     config.validate()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {"out_dir": out_dir}
     started = time.monotonic()
 
@@ -479,6 +472,7 @@ def run(config: RunConfig, client=None):
 
     with _stage("partition"):
         records, stats = partition(old_set, new_set, matches, scores=scores)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_matches_csv(records, out_dir / "matches.csv")
         write_records_csv(records, out_dir / "records.csv")
         artifacts["matches"] = out_dir / "matches.csv"

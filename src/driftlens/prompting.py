@@ -37,16 +37,6 @@ JUDGE_CONTRACT = """Conclude your response with exactly these two lines:
 ### Final Prediction: <BENIGN or DEFECTIVE>
 ### Confidence: <confidence_percentage>"""
 
-BLOCK_NAMES = {
-    "src1": "[SRC1]",
-    "src2": "[SRC2]",
-    "differences": "[Differences]",
-    "unified": "[Unified diff]",
-    "local_context": "[Local Context]",
-    "exemplars": "[Defective Examples]",
-    "prev": "previous label",
-}
-
 METHOD_TEMPLATES = {
     "M0": """You are given a source code file without any previous version. Decide if it is Defective or Benign.
 
@@ -226,17 +216,22 @@ def _render(prompt_id: str, record, cs, ctx, exemplars, history) -> PromptBundle
     """Fill prompt_id's template from the inputs its fields name, then add its tail.
 
     An input of None (or no exemplars) is absent and raises ConfigurationError
-    naming its block; an empty file is present and renders as an empty block.
+    naming its block by the title line above its field, or the field itself
+    in braces when it has none; an empty file is present and renders as an
+    empty block.
     """
     inputs = {"prev": record.old_file, "src1": record.old_file, "src2": record.new_file.source,
               "differences": cs, "unified": cs, "local_context": ctx,
               "exemplars": exemplars or None, "history": history}
+    template = _TEMPLATES[prompt_id]
     values = {}
     for name in REQUIRED_INPUTS[prompt_id]:
         if inputs[name] is None:
-            raise ConfigurationError(f"{prompt_id} requires {BLOCK_NAMES[name]}")
+            title = re.search(rf"^(\[.*\])\n\{{{name}\}}$", template, re.M)
+            block = title[1] if title else f"{{{name}}}"
+            raise ConfigurationError(f"{prompt_id} requires {block}")
         values[name] = _RENDER[name](inputs[name])
-    body = _TEMPLATES[prompt_id].format(**values)
+    body = template.format(**values)
     return PromptBundle(system=SYSTEM_PROMPT,
                         user=f"{body}\n\n{_TAILS.get(prompt_id, JSON_INSTRUCTION)}")
 

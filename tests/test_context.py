@@ -170,7 +170,7 @@ class TestExtractMethods:
         assert calc.end_line == 9
         assert calc.body.startswith("    public static int calculateSum")
         assert calc.body.endswith("}")
-        assert calc.signature == "    public static int calculateSum(int[] arr) {"
+        assert calc.body.split("\n")[0] == "    public static int calculateSum(int[] arr) {"
 
     def test_empty_source(self):
         assert extract_methods("") == []
@@ -508,7 +508,9 @@ class TestExtractContext:
         src = java_chain([(0, 1)], 2)
         cs, new_src = change_in_method(src, "m0")
         bundle = extract_context(cs, new_src, depth=3, max_lines=400)
-        assert bundle.depth_used == 1  # graph exhausted after one wave
+        assert bundle.included_methods == ("m0", "m1")
+        # graph exhausted after one wave: further depth adds nothing
+        assert bundle == extract_context(cs, new_src, depth=1, max_lines=400)
 
     def test_rejects_negative_budget(self):
         src = java_chain([], 1)
@@ -597,7 +599,6 @@ def reference_extract_methods(source):
             claimed.add((start_line, end_line))
             spans.append(MethodSpan(
                 name=name,
-                signature=lines[start_line - 1],
                 start_line=start_line,
                 end_line=end_line,
                 body=source[line_starts[start_line - 1]:line_starts[end_line] - 1],
@@ -647,7 +648,7 @@ def java_like(draw):
 
 
 def fields(spans):
-    return [(s.name, s.signature, s.start_line, s.end_line, s.body, s.masked_body)
+    return [(s.name, s.start_line, s.end_line, s.body, s.masked_body)
             for s in spans]
 
 
@@ -831,8 +832,6 @@ def reference_extract_context(cs, source, depth, max_lines):
         included_methods=tuple(order),
         kept_methods=tuple(name for name in order if first_rendered[name] < max_lines),
         truncated=len(parts) > max_lines,
-        depth_used=waves,
-        line_budget=max_lines,
     )
 
 

@@ -404,3 +404,11 @@ def test_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path, head
     marked.write_bytes(b"\xef\xbb\xbf" + body)
     assert loaded(marked) == loaded(plain) == [("A.java", "\ufeffclass A {}", 0),
                                                ("B.java", "b\ufeff", 1)]
+
+
+@pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb"])
+def test_a_file_of_a_truncated_byte_order_mark_is_empty(tmp_path, content):
+    path = tmp_path / "v.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match="is empty"):
+        load_version(path)

@@ -320,7 +320,6 @@ class TestParsing:
         parsed = parse_prediction(raw, "json_shape")
         assert parsed.label == 1
         assert parsed.parse_path == "json"
-        assert parsed.explanation == "off-by-one in loop"
 
     def test_json_case_insensitive_and_fenced(self):
         raw = 'Sure!\n```json\n{"explanation": "e", "prediction": "benign"}\n```'

@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from driftlens import diffing, kernels, pipeline
+from driftlens.llm import ScriptedChatClient
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -84,3 +85,29 @@ def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
         assert diffing.apply_unified(old, cs.unified) == new
     cells, over_budget = worker.lcs_cells(captured)
     assert cells > 0 and over_budget == 0
+
+
+def test_debate_spans_read_what_the_debate_layers_return(tmp_path, monkeypatch):
+    """A traced context-debate run: the spans read the context bundle, the
+    call graph, the role prompts, the verdict parse and the transcript."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["context-debate"]
+    paths = synth.write_pair(dataclasses.replace(workload.corpus, files=3), 3, tmp_path)
+    config = pipeline.RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"]),
+                                out_dir=str(tmp_path / "out"), **workload.config)
+    client, meter = ScriptedChatClient(), worker.CallMeter()
+    meter.attach(client)
+    tracer, counts = worker.Tracer(), Counter()
+    try:
+        worker.install_spans(tracer, counts, [])
+        tracer.wrap(client, "complete", "llm.complete")
+        pipeline.run(config, client=client)
+    finally:
+        tracer.restore()
+    layers = worker.layer_metrics(tracer, counts, meter, client, None)
+    assert layers["context.edges"] > 0
+    assert layers["debate.calls_per_record"] >= 4
+    assert layers["llm.parse_marker"] == layers["diffing.records"] > 0

@@ -392,6 +392,7 @@ class TestStageErrors:
         with pytest.raises(PipelineStageError) as err:
             pipeline.run(config)
         assert err.value.stage == "load"
+        assert not (tmp_path / "out").exists()
 
 
 labels = st.sampled_from([None, 0, 1])
@@ -419,6 +420,21 @@ class TestArtifactReaders:
         pipeline.write_predictions_csv(rows, path)
         assert pipeline.read_predictions_csv(path) == rows
 
+
+    def test_read_skips_a_byte_order_mark_at_the_start_of_the_file_only(self, tmp_path):
+        rows = [PredictionRow("\ufeffA.java", "B00", 0, 1, 1, 0.5, "json", "M5"),
+                PredictionRow("B.java", "added", None, 0, None, None, "failed\ufeff", "M5")]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        pipeline.write_predictions_csv(rows, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert pipeline.read_predictions_csv(marked) == pipeline.read_predictions_csv(plain) == rows
+
+    @pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb"])
+    def test_read_rejects_a_file_of_a_truncated_byte_order_mark(self, tmp_path, content):
+        path = tmp_path / "predictions.csv"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=r"lacks column\(s\)"):
+            pipeline.read_predictions_csv(path)
 
     def test_read_matches_csv_reader_on_crlf_and_escaped_record_ids(self, tmp_path):
         path = tmp_path / "predictions.csv"
@@ -702,7 +718,7 @@ class TestCli:
                          "--method", "M7", "--stub", "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: M7 ") and str(old_csv) in err
-        assert list(out_dir.glob("**/*")) == []
+        assert not out_dir.exists()
 
     def test_prompt_rejects_an_unknown_method_before_loading(self, tmp_path, capsys):
         # the inputs do not exist: the error must name the method, not the file

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from driftlens.context import extract_context
@@ -134,6 +136,15 @@ DEBATE = [("analyzer", 0, "m1"), ("proposer", 1, "m2"), ("skeptic", 1, "m3")]
 ROLE_TURNS = {"analyzer": (0, 0), "proposer": (1, 1), "skeptic": (2, 1), "judge": (3, 2)}
 
 
+def build_prompt(prompt_id, record, cs, ctx, exemplars):
+    """Any of the 13 prompts; a role at the turn of the sample debate it takes."""
+    if prompt_id in ROLES:
+        messages, round_no = ROLE_TURNS[prompt_id]
+        return build_role_prompt(prompt_id, record, cs, ctx,
+                                 history=DEBATE[:messages], round_no=round_no)
+    return build_method_prompt(prompt_id, record, cs, ctx=ctx, exemplars=exemplars)
+
+
 def test_required_inputs_are_the_papers():
     assert REQUIRED_INPUTS == PAPER_INPUTS
     assert (*METHOD_IDS, *ROLES) == tuple(REQUIRED_INPUTS) == tuple(PAPER_INPUTS)
@@ -142,20 +153,29 @@ def test_required_inputs_are_the_papers():
 def test_every_prompt_has_required_blocks_and_no_excluded_ones(materials):
     record, cs, ctx = materials
     for prompt_id, required in PAPER_INPUTS.items():
-        if prompt_id in ROLES:
-            messages, round_no = ROLE_TURNS[prompt_id]
-            bundle = build_role_prompt(prompt_id, record, cs, ctx,
-                                       history=DEBATE[:messages], round_no=round_no)
-            markers = ROLE_MARKERS
-        else:
-            bundle = build_method_prompt(prompt_id, record, cs, ctx=ctx, exemplars=["bad line"])
-            markers = BLOCK_MARKERS
+        bundle = build_prompt(prompt_id, record, cs, ctx, ["bad line"])
+        markers = ROLE_MARKERS if prompt_id in ROLES else BLOCK_MARKERS
         user = "\n" + bundle.user  # so a block at the start still matches
         for input_name, marker in markers.items():
             if input_name in required:
                 assert marker in user, (prompt_id, input_name)
             else:
                 assert marker not in user, (prompt_id, input_name)
+
+
+def test_missing_input_error_names_a_block_its_prompt_shows(materials):
+    record, cs, ctx = materials
+    absent = {"local_context": {"ctx": None}, "exemplars": {"exemplars": []}}
+    cases = [(prompt_id, name) for prompt_id, inputs in REQUIRED_INPUTS.items()
+             for name in inputs if name in absent]
+    assert [prompt_id for prompt_id, _ in cases] == ["M6", "M7", *ROLES]
+    given = {"ctx": ctx, "exemplars": ["bad line"]}
+    for prompt_id, name in cases:
+        shown = build_prompt(prompt_id, record, cs, **given).user.split("\n")
+        with pytest.raises(ConfigurationError) as err:
+            build_prompt(prompt_id, record, cs, **{**given, **absent[name]})
+        title = re.fullmatch(rf"{prompt_id} requires (\[.*\])", str(err.value))
+        assert title and title[1] in shown, (prompt_id, str(err.value))
 
 
 def test_all_methods_render_without_placeholder_residue(materials):
@@ -222,7 +242,7 @@ class TestRolePrompts:
 
     def test_role_without_context_names_the_block(self, materials):
         record, cs, _ = materials
-        with pytest.raises(ConfigurationError, match=r"analyzer requires \[Local Context\]"):
+        with pytest.raises(ConfigurationError, match=r"analyzer requires \[Expanded Context\]"):
             build_role_prompt("analyzer", record, cs, None)
 
     def test_judge_requires_history(self, materials):
