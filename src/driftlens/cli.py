@@ -170,7 +170,7 @@ def cmd_baseline(args) -> int:
     pipeline.write_predictions_csv(rows, args.out)
     if args.records_out:
         pipeline.write_records_csv(records, args.records_out)
-    report = evaluate_predictions(rows, method=kind)
+    report = evaluate_predictions(rows)
     print(render_text(report))
     print(f"wrote {args.out}")
     return 0
@@ -194,7 +194,7 @@ def cmd_run(args) -> int:
 
 def cmd_evaluate(args) -> int:
     rows = pipeline.read_predictions_csv(args.preds)
-    report = evaluate_predictions(rows, method=rows[0].method if rows else "")
+    report = evaluate_predictions(rows)
     print(render_text(report))
     return 0
 

@@ -121,13 +121,19 @@ class EvaluationReport:
     excluded: int
 
 
-def evaluate_predictions(rows, method: str = "") -> EvaluationReport:
-    """Full report over prediction rows: anything with subset, new_label and pred_label.
+def evaluate_predictions(rows) -> EvaluationReport:
+    """Full report over prediction rows: anything with method, subset, new_label and
+    pred_label.
 
-    Rows whose pred_label is None are excluded (and counted). Every
-    transition subset is counted, and one with no evaluated rows reports
-    accuracy None; other subsets are counted where they occur.
+    The report's method is the rows' one method, and "" when there is no
+    row; rows of more than one method are a ValueError. Rows whose
+    pred_label is None are excluded (and counted). Every transition subset
+    is counted, and one with no evaluated rows reports accuracy None; other
+    subsets are counted where they occur.
     """
+    methods = {r.method for r in rows}
+    if len(methods) > 1:
+        raise ValueError(f"rows of more than one method: {sorted(methods)}")
     evaluated = [r for r in rows if r.pred_label is not None]
     counts = dict.fromkeys(SUBSET_ORDER, 0)
     hits = Counter()
@@ -149,7 +155,7 @@ def evaluate_predictions(rows, method: str = "") -> EvaluationReport:
     else:
         auc = fpr = mcc = 0.0
     return EvaluationReport(
-        method=method,
+        method=methods.pop() if methods else "",
         subset_accuracy=accuracy,
         hmb=harmonic_mean(accuracy["B00"], accuracy["D01"]),
         hmd=harmonic_mean(accuracy["B10"], accuracy["D11"]),

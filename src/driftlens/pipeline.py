@@ -6,6 +6,12 @@ matches, records, predictions, transcripts, the evaluation report, and a
 manifest that reproduces the run byte-for-byte in stub mode. The report is
 a function of predictions.csv alone; the run's wall time is a comment line
 of the manifest.
+
+M0-M8 runs prepare, then dispatch: every record's diff, context and prompt
+are built in one sequential pass before the first endpoint call, and the
+finished requests are then sent on up to max_in_flight threads, the calling
+one included. The debate builds each record's prompts as its replies come
+in, so its records are dispatched the same way with their preparation inside.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import csv
 import inspect
 import random
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -290,17 +297,22 @@ class PredictionRow:
 def predict_with_method(records, config: RunConfig, client, exemplars) -> list[PredictionRow]:
     need_context = "local_context" in REQUIRED_INPUTS[config.method]
 
-    def one(record) -> PredictionRow:
+    def request(record) -> ChatRequest:
         cs, ctx = record_materials(record, config, need_context)
         bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)
-        request = ChatRequest.single_turn(config.model, bundle.system, bundle.user,
-                                          tag=config.method, record_id=record.record_id)
-        parsed = parse_prediction(client.complete(request), "json_shape")
+        return ChatRequest.single_turn(config.model, bundle.system, bundle.user,
+                                       tag=config.method, record_id=record.record_id)
+
+    def one(item) -> PredictionRow:
+        record, req = item
+        parsed = parse_prediction(client.complete(req), "json_shape")
         return PredictionRow(record.record_id, record.subset, record.old_file.label,
                              record.new_file.label, parsed.label, parsed.confidence,
                              parsed.parse_path, config.method)
 
-    return _map_records(one, records, config, client)
+    # every request is built before the first call, so no diff or context waits on one
+    prepared = [(record, request(record)) for record in records]
+    return _map_records(one, prepared, config, client)
 
 
 def predict_with_debate(records, config: RunConfig, client,
@@ -319,16 +331,43 @@ def predict_with_debate(records, config: RunConfig, client,
     return _map_records(one, records, config, client)
 
 
-def _map_records(fn, records, config: RunConfig, client) -> list[PredictionRow]:
-    # stub runs stay sequential so scripted replies are consumed deterministically
-    if isinstance(client, ScriptedChatClient) or config.max_in_flight <= 1:
-        rows = [fn(r) for r in records]
-    else:
-        # only live runs get here; importing the pool loads logging too
-        from concurrent.futures import ThreadPoolExecutor
+def _map_records(fn, items: list, config: RunConfig, client) -> list[PredictionRow]:
+    """fn over items, in input order, on the calling thread and up to
+    max_in_flight - 1 more, but never more threads than items.
 
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            rows = list(pool.map(fn, records))
+    Each thread takes the next item from one shared iterator. Once an item
+    has failed no thread takes another, and when all have stopped the
+    exception of the earliest failed item is raised.
+    """
+    # a stub run stays on one thread, so scripted replies are consumed in order
+    width = 1 if isinstance(client, ScriptedChatClient) else config.max_in_flight
+    rows: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    pending = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                taken = None if errors else next(pending, None)
+            if taken is None:
+                return
+            index, item = taken
+            try:
+                rows[index] = fn(item)
+            except BaseException as exc:
+                with lock:
+                    errors[index] = exc
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(width, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
     return rows
 
 
@@ -497,8 +536,7 @@ def run(config: RunConfig, client=None):
         artifacts["predictions"] = out_dir / "predictions.csv"
 
     with _stage("evaluate"):
-        method_name = config.baseline or config.method or "debate"
-        report = evaluate_predictions(rows, method=method_name)
+        report = evaluate_predictions(rows)
         (out_dir / "report.txt").write_text(render_text(report) + "\n", encoding="utf-8")
         with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report_csv_rows(report))

@@ -61,8 +61,7 @@ def test_a1_naive_baseline_reproduction():
     assert new_set.defective_fraction() * 100 == pytest.approx(5.61, abs=0.1)
     matches = match_files(old_set, new_set, MatchParams(0.7, 1.0))
     records, _ = partition(old_set, new_set, matches)
-    report = evaluate_predictions(pipeline.baseline_rows(records, "label_persistent"),
-                                  method="label_persistent")
+    report = evaluate_predictions(pipeline.baseline_rows(records, "label_persistent"))
     elapsed = time.monotonic() - started
 
     precision, recall, f1 = report.populations["total"]

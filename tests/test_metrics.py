@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -306,8 +307,7 @@ class TestNaiveBaselineProperties:
             rec("a", "B00", 0, 0), rec("b", "B10", 1, 0),
             rec("c", "D01", 0, 1), rec("d", "D11", 1, 1),
         ]
-        report = evaluate_predictions(baseline_rows(records, "label_persistent"),
-                                      method="label_persistent")
+        report = evaluate_predictions(baseline_rows(records, "label_persistent"))
         assert report.subset_accuracy["B00"] == 1.0
         assert report.subset_accuracy["D11"] == 1.0
         assert report.subset_accuracy["B10"] == 0.0
@@ -348,7 +348,7 @@ class TestNaiveBaselineProperties:
 class TestReportRendering:
     def test_text_and_csv(self):
         rows = [row("a", "B00", 0, 0), row("b", "D01", 1, 0), row("s", "unchanged_source", 0, 0)]
-        report = evaluate_predictions(rows, method="demo")
+        report = evaluate_predictions(rows)
         text = render_text(report)
         assert "demo" in text
         assert "HMB" in text and "HMD" in text
@@ -359,8 +359,14 @@ class TestReportRendering:
         assert keys[-1] == "excluded"
         assert report.counts["unchanged_source"] == 1
 
+    def test_method_is_the_rows_one_method(self):
+        assert evaluate_predictions([]).method == ""
+        other = dataclasses.replace(row("b", "D01", 1, 1), method="other")
+        with pytest.raises(ValueError, match="more than one method"):
+            evaluate_predictions([row("a", "B00", 0, 0), other])
+
     def test_report_values_in_unit_range(self):
-        report = evaluate_predictions([row("a", "B00", 0, 0), row("b", "D01", 1, 1)], method="x")
+        report = evaluate_predictions([row("a", "B00", 0, 0), row("b", "D01", 1, 1)])
         for subset, value in report.subset_accuracy.items():
             if value is not None:
                 assert 0.0 <= value <= 1.0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import typing
 from pathlib import Path
 
@@ -63,6 +64,16 @@ def corpus(tmp_path):
     write_version(VersionSet("v1", "demo", tuple(old_files)), old_csv)
     write_version(VersionSet("v2", "demo", tuple(new_files)), new_csv)
     return old_csv, new_csv
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started through threading.Thread while the test runs."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
 
 
 def base_config(corpus, tmp_path, **overrides):
@@ -243,38 +254,200 @@ class TestMethodRun:
         assert len(calls) == 4
         assert report.subset_accuracy["D01"] == 1.0
 
-    def test_threaded_live_run_equals_sequential(self, corpus, tmp_path):
-        """max_in_flight > 1 maps records on a thread pool: same predictions, capped overlap."""
+    def test_threaded_live_run_equals_sequential(self, corpus, tmp_path, thread_starts):
+        """max_in_flight > 1 dispatches records on that many threads, or one per record
+        when there are fewer: same predictions, and exactly that many calls overlap."""
         lock = threading.Lock()
-        overlapped = threading.Event()
         calls = {"in_flight": 0, "peak": 0}
 
         def transport(url, headers, payload, timeout):
             with lock:
                 calls["in_flight"] += 1
                 calls["peak"] = max(calls["peak"], calls["in_flight"])
-                if calls["in_flight"] >= 2:
-                    overlapped.set()
-            if width > 1:  # the first call waits for a second, so the two overlap
-                overlapped.wait(timeout=5)
+                if calls["in_flight"] >= expected:
+                    filled.set()
+            filled.wait(timeout=5)  # the first calls wait until `expected` of them overlap
             with lock:
                 calls["in_flight"] -= 1
             prompt = payload["messages"][1]["content"]
-            label = "Defective" if len(prompt) % 2 else "Benign"
-            return 200, {"choices": [{"message": {"content":
-                f'{{"explanation": "e", "prediction": "{label}"}}'}}]}
+            return verdict("Defective" if len(prompt) % 2 else "Benign")
 
         outputs = []
-        for width in (1, 2):
+        for width in (1, 2, 3, 5):  # the corpus has 4 transition records
+            expected, filled = min(width, 4), threading.Event()
             config = base_config(corpus, tmp_path, method="M5", stub=False, max_in_flight=width,
                                  out_dir=str(tmp_path / f"out{width}"))
             _, artifacts = pipeline.run(config, client=pipeline.make_client(config, transport))
             outputs.append(artifacts["predictions"].read_bytes())
-            assert calls["peak"] == width
+            assert calls["peak"] == expected, width
+            assert len(thread_starts) == expected - 1, width  # the calling thread is one
             calls["peak"] = 0
-        assert outputs[0] == outputs[1]
+            thread_starts.clear()
+        assert outputs.count(outputs[0]) == len(outputs)
         rows = csv.DictReader(outputs[0].decode().splitlines())
         assert {row["pred_label"] for row in rows} == {"0", "1"}  # replies differ per record
+
+
+def verdict(label="Benign"):
+    """A 200 reply whose JSON predicts label."""
+    return 200, {"choices": [{"message": {"content":
+        f'{{"explanation": "e", "prediction": "{label}"}}'}}]}
+
+
+def record_of(payload) -> str:
+    """The record id a method prompt names in its unified diff's header."""
+    return re.search(r"^\+\+\+ b/(\S+)$", payload["messages"][1]["content"], re.M)[1]
+
+
+@pytest.fixture
+def six_records(tmp_path):
+    """Six edited files, each a B00 record; records come in path order, C0 to C5."""
+    old = tuple(java_file(f"pkg/C{i}.java", "return a;", 0, "v1") for i in range(6))
+    new = tuple(java_file(f"pkg/C{i}.java", f"return a + {i};", 0, "v2") for i in range(6))
+    old_csv, new_csv = tmp_path / "six_old.csv", tmp_path / "six_new.csv"
+    write_version(VersionSet("v1", "demo", old), old_csv)
+    write_version(VersionSet("v2", "demo", new), new_csv)
+    return old_csv, new_csv
+
+
+SIX_IDS = [f"pkg/C{i}.java" for i in range(6)]
+
+
+class TestDispatch:
+    """A live M0-M8 run builds every request first, then dispatches them on threads."""
+
+    def run_live(self, corpus, tmp_path, transport, width=2, **overrides):
+        config = base_config(corpus, tmp_path, method="M5", stub=False, max_in_flight=width,
+                             **overrides)
+        return pipeline.run(config, client=pipeline.make_client(config, transport))
+
+    def test_every_request_is_built_before_the_first_call(self, six_records, tmp_path,
+                                                          monkeypatch):
+        log = []
+        build = pipeline.build_method_prompt
+
+        def logged_build(method_id, record, *args, **kwargs):
+            log.append(("build", record.record_id))
+            return build(method_id, record, *args, **kwargs)
+
+        def transport(url, headers, payload, timeout):
+            log.append(("call", record_of(payload)))
+            return verdict()
+
+        monkeypatch.setattr(pipeline, "build_method_prompt", logged_build)
+        self.run_live(six_records, tmp_path, transport)
+        assert log[:6] == [("build", rid) for rid in SIX_IDS]
+        assert sorted(rid for kind, rid in log[6:] if kind == "call") == SIX_IDS
+        assert len(log) == 12
+
+    def test_a_failed_prompt_build_sends_nothing(self, six_records, tmp_path, monkeypatch):
+        built, calls = [], []
+        build = pipeline.build_method_prompt
+
+        def failing_build(method_id, record, *args, **kwargs):
+            built.append(record.record_id)
+            if record.record_id == SIX_IDS[-1]:
+                raise ValueError("cannot render this record")
+            return build(method_id, record, *args, **kwargs)
+
+        def transport(url, headers, payload, timeout):
+            calls.append(record_of(payload))
+            return verdict()
+
+        monkeypatch.setattr(pipeline, "build_method_prompt", failing_build)
+        with pytest.raises(PipelineStageError) as info:
+            self.run_live(six_records, tmp_path, transport)
+        assert info.value.stage == "predict"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert built == SIX_IDS and calls == []
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_rejected_call_stops_dispatch(self, six_records, tmp_path, k):
+        lock = threading.Lock()
+        calls = []
+
+        def transport(url, headers, payload, timeout):
+            with lock:
+                calls.append(record_of(payload))
+                n = len(calls)
+            if n == k:
+                return 400, {"error": "bad request"}
+            time.sleep(0.05)  # long next to the failed call, so its error lands first
+            return verdict()
+
+        with pytest.raises(PipelineStageError) as info:
+            self.run_live(six_records, tmp_path, transport)
+        assert info.value.__cause__.status == 400
+        assert k <= len(calls) <= k + 1
+
+    def test_the_earliest_failed_record_is_the_error_raised(self, six_records, tmp_path):
+        later_failed = threading.Event()
+
+        def transport(url, headers, payload, timeout):
+            rid = record_of(payload)
+            if rid == SIX_IDS[2]:
+                later_failed.set()
+                return 404, {"error": "not found"}
+            if rid == SIX_IDS[1]:  # fails only after the later record has failed
+                later_failed.wait(timeout=5)
+                time.sleep(0.05)
+                return 400, {"error": "bad request"}
+            return verdict()
+
+        with pytest.raises(PipelineStageError) as info:
+            self.run_live(six_records, tmp_path, transport)
+        assert later_failed.is_set()
+        assert info.value.__cause__.status == 400
+
+    def test_a_live_run_with_no_record_makes_no_call_and_starts_no_thread(
+            self, corpus, tmp_path, thread_starts):
+        calls = []
+
+        def transport(url, headers, payload, timeout):
+            calls.append(payload)
+            return verdict()
+
+        report, artifacts = self.run_live(corpus, tmp_path, transport, width=4,
+                                          caps="B00=0,B10=0,D01=0,D11=0")
+        assert calls == [] and thread_starts == []
+        assert sum(report.counts.values()) == 0
+        assert artifacts["predictions"].read_text(encoding="utf-8").count("\n") == 1
+
+    def test_a_threaded_live_run_loads_no_pool_and_no_logging(self, corpus, tmp_path):
+        """Records go out on plain threads: neither concurrent.futures nor the logging
+        it imports is loaded. -S keeps site's own imports out of the probe."""
+        probe = textwrap.dedent("""\
+            import sys, threading
+            from driftlens import pipeline
+
+            old_csv, new_csv, out_dir = sys.argv[1:]
+            lock, both, in_flight = threading.Lock(), threading.Event(), [0]
+
+            def transport(url, headers, payload, timeout):
+                with lock:
+                    in_flight[0] += 1
+                    if in_flight[0] == 2:
+                        both.set()
+                if not both.wait(timeout=5):
+                    raise RuntimeError("two calls never overlapped")
+                with lock:
+                    in_flight[0] -= 1
+                return 200, {"choices": [{"message": {"content": '{"prediction": "Benign"}'}}]}
+
+            config = pipeline.RunConfig(old_csv=old_csv, new_csv=new_csv, method="M5",
+                                        max_in_flight=2, out_dir=out_dir)
+            pipeline.run(config, client=pipeline.make_client(config, transport))
+            print([m for m in ("concurrent.futures", "logging") if m in sys.modules])
+            """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        old_csv, new_csv = corpus
+        done = subprocess.run([sys.executable, "-S", "-c", probe, str(old_csv), str(new_csv),
+                               str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDebateRun:
@@ -411,7 +584,7 @@ class TestArtifactReaders:
         rows = pipeline.read_predictions_csv(artifacts["predictions"])
         subsets = sorted(row.subset for row in rows)
         assert subsets == sorted(["unchanged_source", "B00", "B10", "D01", "D11", "added"])
-        assert pipeline.evaluate_predictions(rows, method="label_persistent") == report
+        assert pipeline.evaluate_predictions(rows) == report
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(prediction_rows, max_size=8, unique_by=lambda row: row.record_id))
@@ -505,10 +678,11 @@ class TestCli:
     def test_cli_import_loads_no_numpy(self):
         """Every driftlens call pays for what `import driftlens.cli` loads.
 
-        numpy is never needed; the thread pool, hashlib (OpenSSL), typing and
-        the HTTP transport's modules (urllib.request, http.client, ssl) load
-        only when a run needs them. -S keeps site from importing modules of
-        its own (a .pth file may import typing) before the probe looks.
+        numpy and the thread pool (concurrent.futures, which loads logging) are
+        never needed; hashlib (OpenSSL), typing and the HTTP transport's
+        modules (urllib.request, http.client, ssl) load only when a run needs
+        them. -S keeps site from importing modules of its own (a .pth file
+        may import typing) before the probe looks.
         """
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -595,6 +769,15 @@ class TestCli:
     def test_evaluate_reproduces_baseline_and_debate_reports(self, corpus, tmp_path, capsys,
                                                              selector):
         assert_evaluate_prints_run_report(base_config(corpus, tmp_path, **selector), capsys)
+
+    @pytest.mark.parametrize("selector", [{"method": "M5"}, {"debate": True}],
+                             ids=["M5", "debate"])
+    def test_evaluate_reproduces_an_empty_run_report(self, corpus, tmp_path, capsys, selector):
+        # caps that leave no record: predictions.csv holds only its header, so no row
+        # names the method, and the run's report must not name one either
+        config = base_config(corpus, tmp_path, caps="B00=0,B10=0,D01=0,D11=0", **selector)
+        report = assert_evaluate_prints_run_report(config, capsys)
+        assert report.method == "" and sum(report.counts.values()) == 0
 
     def test_evaluate_reads_a_predictions_file_with_a_byte_order_mark(self, corpus, tmp_path,
                                                                       capsys):
