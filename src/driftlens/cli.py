@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, pipeline
@@ -46,7 +45,7 @@ LLM_RUN_FIELDS = ("model", "base_url", "stub", "seed", "caps", "out_dir", "diff_
 def _command(sub, name: str, fn, help_text: str, field_names, required=(), overrides=False):
     """Add a subcommand with one flag per RunConfig field in `field_names`.
 
-    Each flag takes its type and default from the dataclass; bools are
+    Each flag takes its type and default from RunConfig; bools are
     store_true. With `overrides`, an absent flag sets nothing, so only the
     flags given on the command line override a loaded config.
     """
@@ -189,7 +188,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_run(args) -> int:
-    return _run_and_print(replace(pipeline.load_config(args.config), **_given(args)))
+    return _run_and_print(pipeline.load_config(args.config).replace(**_given(args)))
 
 
 def cmd_evaluate(args) -> int:

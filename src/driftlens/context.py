@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, count
 from operator import add
 
@@ -77,27 +77,24 @@ _BODY_OR_END_RE = re.compile(r"[{;]")
 _REVERSED_CALL_RE = re.compile(r"\(\s*+([\w$]++)(?<=[A-Za-z_$])")
 
 
-@dataclass(frozen=True)
-class MethodSpan:
-    """One detected method: its name, declaration line, and body extent."""
+class MethodSpan(namedtuple("MethodSpan", "name start_line end_line body masked_body")):
+    """One detected method: its name, declaration line, and body extent.
 
-    name: str
-    start_line: int    # 1-based, inclusive
-    end_line: int      # 1-based, inclusive
-    body: str
-    masked_body: str   # the same lines of the masked source
+    start_line and end_line are 1-based and inclusive; masked_body is the
+    same lines of the masked source.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class CallGraph(namedtuple("CallGraph", "nodes edges")):
     """Same-file caller->callee edges over method names."""
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContextBundle:
+class ContextBundle(namedtuple("ContextBundle",
+                               "snippet included_methods kept_methods truncated")):
     """Expanded context snippet plus the ordered method set behind it.
 
     `included_methods` is every method the expansion visited, whatever the
@@ -105,10 +102,7 @@ class ContextBundle:
     snippet, in the same order.
     """
 
-    snippet: str
-    included_methods: tuple[str, ...]
-    kept_methods: tuple[str, ...]
-    truncated: bool
+    __slots__ = ()
 
     @property
     def line_count(self) -> int:

@@ -29,7 +29,7 @@ import io
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, islice
 from pathlib import Path
 
@@ -152,43 +152,43 @@ def _csv_rows(fh):
         buf = buf[len(buf) - rest:]
 
 
-@dataclass(frozen=True)
-class VersionedFile:
+class VersionedFile(namedtuple("VersionedFile", "path source label version_id")):
     """One source file in one project version with its binary defect label."""
 
-    path: str
-    source: str
-    label: int
-    version_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.path:
+    def __new__(cls, path: str, source: str, label: int, version_id: str):
+        if not path:
             raise DataError("file path must be non-empty")
-        if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r} for {self.path}")
+        if label not in (0, 1):
+            raise DataError(f"label must be 0 or 1, got {label!r} for {path}")
+        return super().__new__(cls, path, source, label, version_id)
 
 
-@dataclass(frozen=True)
 class VersionSet:
     """An immutable collection of files from one version, unique by path."""
 
-    version_id: str
-    dataset_name: str
-    files: tuple[VersionedFile, ...]
-    _by_path: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("version_id", "dataset_name", "files", "_by_path")
 
-    def __post_init__(self):
-        if not self.files:
-            raise DataError(f"version set {self.version_id!r} has no files")
+    def __init__(self, version_id: str, dataset_name: str, files: tuple[VersionedFile, ...]):
+        if not files:
+            raise DataError(f"version set {version_id!r} has no files")
         by_path = {}
         duplicates = []
-        for f in self.files:
+        for f in files:
             if f.path in by_path:
                 duplicates.append(f.path)
             by_path[f.path] = f
         if duplicates:
-            raise DataError(f"duplicate paths in {self.version_id!r}: {sorted(set(duplicates))}")
-        object.__setattr__(self, "_by_path", by_path)
+            raise DataError(f"duplicate paths in {version_id!r}: {sorted(set(duplicates))}")
+        for name, value in zip(self.__slots__, (version_id, dataset_name, files, by_path)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.files)

@@ -9,12 +9,12 @@ with a stricter format reminder before the record is flagged.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from urllib.parse import quote
 
 from .errors import DriftlensError, TransportError
-from .llm import ChatRequest, ParsedPrediction, parse_prediction
+from .llm import ChatRequest, parse_prediction
 from .prompting import JUDGE_CONTRACT, ROLES, build_role_prompt
 
 DEFAULT_ROLE_MODELS = {
@@ -25,34 +25,39 @@ DEFAULT_ROLE_MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class DebateConfig:
-    rounds: int = 1
-    role_models: dict = field(default_factory=lambda: dict(DEFAULT_ROLE_MODELS))
-    depth: int = 3
-    max_lines: int = 400
-    temperature: float = 0.0
+class DebateConfig(namedtuple("DebateConfig", "rounds role_models depth max_lines temperature")):
+    """A debate's schedule, models and context budget.
 
-    def __post_init__(self):
-        if self.rounds < 1:
+    role_models maps each role to its model; it defaults to a new copy of
+    DEFAULT_ROLE_MODELS.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rounds: int = 1, role_models: dict | None = None, depth: int = 3,
+                max_lines: int = 400, temperature: float = 0.0):
+        if role_models is None:
+            role_models = dict(DEFAULT_ROLE_MODELS)
+        if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        missing = [r for r in ROLES if r not in self.role_models]
+        missing = [r for r in ROLES if r not in role_models]
         if missing:
             raise ValueError(f"role_models missing assignments for {missing}")
+        return super().__new__(cls, rounds, role_models, depth, max_lines, temperature)
 
 
-@dataclass(frozen=True)
-class DebateTranscript:
-    record_id: str
-    messages: tuple[tuple[str, int, str], ...]   # (role, round, text)
-    verdict: ParsedPrediction
-    config: DebateConfig
-    judge_attempts: int = 1
+class DebateTranscript(namedtuple("DebateTranscript",
+                                  "record_id messages verdict config judge_attempts",
+                                  defaults=(1,))):
+    """One record's debate: its (role, round, text) messages, the judge's
+    ParsedPrediction and the DebateConfig it ran under."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps({
             "record_id": self.record_id,
-            "config": asdict(self.config),
+            "config": self.config._asdict(),
             "messages": [{"role": r, "round": k, "text": t} for r, k, t in self.messages],
             "verdict": {
                 "label": self.verdict.label,

@@ -12,23 +12,25 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .errors import DataError
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file"
+DEFAULT_CONTEXT_LINES = 3
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    """Added/removed lines plus the rendered unified diff for one file pair."""
+class ChangeSet(namedtuple("ChangeSet", "added removed unified changed_new_lines")):
+    """Added/removed lines plus the rendered unified diff for one file pair.
 
-    added: tuple[tuple[int, str], ...]     # (new-file line number, text)
-    removed: tuple[tuple[int, str], ...]   # (old-file line number, text)
-    unified: str
-    changed_new_lines: tuple[int, ...]     # added lines and the new lines around each deletion
+    added and removed hold (line number, text) pairs, numbered in the new
+    and the old file; changed_new_lines holds the added lines and the new
+    lines around each deletion.
+    """
+
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
@@ -101,7 +103,7 @@ def _render_unified(a, b, gaps, context, path):
     return f"--- a/{path}\n+++ b/{path}\n" + "\n".join(lines) + "\n" if lines else ""
 
 
-def diff(old_source: str, new_source: str, context_lines: int = 3,
+def diff(old_source: str, new_source: str, context_lines: int = DEFAULT_CONTEXT_LINES,
          path: str = "file") -> ChangeSet:
     """LCS line diff of two texts rendered as a standard unified diff."""
     if context_lines < 0:

@@ -15,13 +15,14 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError, TransportError
 
 DEFAULT_BASE_URL = "https://api.llm7.io/v1"
 BASE_URL_ENV = "DRIFTLENS_BASE_URL"
 API_KEY_ENV = "DRIFTLENS_API_KEY"
+DEFAULT_MAX_IN_FLIGHT = 4
 
 # "\s*(?:\*+\s*)?" reads what "\s*\**\s*" reads without quadratic backtracking
 _MARKER_RE = re.compile(r"###\s*Final Prediction\s*:\s*(?:\*+\s*)?(BENIGN|DEFECTIVE)",
@@ -33,14 +34,15 @@ _DECODER = json.JSONDecoder()
 _TOKEN_RE = re.compile(r"\b(defective|benign)\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    model: str
-    system: str
-    user_turns: tuple[tuple[str, str], ...]   # (role, text) pairs
-    temperature: float = 0.0
-    tag: str = ""          # method id or debate role, used by the stub and logs
-    record_id: str = ""
+class ChatRequest(namedtuple("ChatRequest", "model system user_turns temperature tag record_id",
+                             defaults=(0.0, "", ""))):
+    """One chat completion to ask for.
+
+    user_turns holds (role, text) pairs; tag is the method id or debate
+    role, used by the stub and logs.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def single_turn(cls, model: str, system: str, user: str, *, tag: str = "",
@@ -49,34 +51,36 @@ class ChatRequest:
                    temperature=temperature, tag=tag, record_id=record_id)
 
 
-@dataclass(frozen=True)
-class ParsedPrediction:
-    label: int | None
-    confidence: float | None = None
-    parse_path: str = "failed"   # json | marker | regex_fallback | failed
+class ParsedPrediction(namedtuple("ParsedPrediction", "label confidence parse_path")):
+    """A reply's label and confidence, each None when absent.
 
-    def __post_init__(self):
-        if self.parse_path == "failed" and self.label is not None:
+    parse_path is json, marker, regex_fallback or failed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: int | None, confidence: float | None = None,
+                parse_path: str = "failed"):
+        if parse_path == "failed" and label is not None:
             raise ValueError("failed parses must not carry a label")
+        return super().__new__(cls, label, confidence, parse_path)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 4
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
+class RetryPolicy(namedtuple("RetryPolicy", "max_attempts base_delay multiplier max_delay",
+                             defaults=(4, 0.5, 2.0, 30.0))):
+    __slots__ = ()
 
     def delay(self, attempt: int) -> float:
         return min(self.base_delay * self.multiplier ** attempt, self.max_delay)
 
 
-@dataclass
 class CallStats:
-    calls: int = 0
-    attempts: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    """A client's running totals: completed calls, attempts and reported tokens."""
+
+    __slots__ = ("calls", "attempts", "prompt_tokens", "completion_tokens")
+
+    def __init__(self):
+        self.calls = self.attempts = self.prompt_tokens = self.completion_tokens = 0
 
 
 def _urllib_transport(url, headers, payload, timeout):
@@ -139,8 +143,9 @@ class HttpChatClient:
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 retry_policy: RetryPolicy = RetryPolicy(), max_in_flight: int = 4,
-                 timeout: float = 120.0, transport=None, sleep=time.sleep):
+                 retry_policy: RetryPolicy = RetryPolicy(),
+                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT, timeout: float = 120.0,
+                 transport=None, sleep=time.sleep):
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         base = base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL

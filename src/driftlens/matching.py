@@ -21,8 +21,8 @@ match_files can hand partition the score it kept for each similarity match.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import kernels
@@ -32,8 +32,7 @@ SUBSET_ORDER = ("B00", "B10", "D11", "D01")
 SUBSETS = frozenset(SUBSET_ORDER)
 
 
-@dataclass(frozen=True)
-class MatchParams:
+class MatchParams(namedtuple("MatchParams", "threshold gap_multiplier")):
     """Similarity acceptance parameters: score threshold T and gap multiplier c.
 
     The best-scoring candidate s1 is accepted when s1 >= T and, with two or
@@ -45,49 +44,54 @@ class MatchParams:
     7/10 lies at least 1/(10d) from it.
     """
 
-    threshold: float = 0.7
-    gap_multiplier: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
-        if not 0.0 <= self.gap_multiplier < math.inf:  # also rejects NaN
-            raise ValueError(f"gap_multiplier must be finite and >= 0, got {self.gap_multiplier}")
+    def __new__(cls, threshold: float = 0.7, gap_multiplier: float = 1.0):
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0,1], got {threshold}")
+        if not 0.0 <= gap_multiplier < math.inf:  # also rejects NaN
+            raise ValueError(f"gap_multiplier must be finite and >= 0, got {gap_multiplier}")
+        return super().__new__(cls, threshold, gap_multiplier)
 
 
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """One new-version file with its matched predecessor and subset tag."""
+class EvolutionRecord(namedtuple("EvolutionRecord",
+                                 "new_file old_file match_kind subset similarity")):
+    """One new-version file with its matched predecessor and subset tag.
 
-    new_file: VersionedFile
-    old_file: VersionedFile | None
-    match_kind: str                 # "path" | "similarity" | "none"
-    subset: str                     # B00/B10/D01/D11/unchanged_source/added
-    similarity: float | None = None
+    match_kind is "path", "similarity" or "none"; subset is one of B00, B10,
+    D01, D11, unchanged_source and added. old_file is None for an added
+    file, and similarity is set for a similarity match only.
+    """
 
-    def __post_init__(self):
-        if (self.subset == "added") != (self.old_file is None):
+    __slots__ = ()
+
+    def __new__(cls, new_file: VersionedFile, old_file: VersionedFile | None, match_kind: str,
+                subset: str, similarity: float | None = None):
+        if (subset == "added") != (old_file is None):
             raise ValueError("subset 'added' must coincide with a missing old file")
-        if self.subset in SUBSETS and self.old_file.source == self.new_file.source:
+        if subset in SUBSETS and old_file.source == new_file.source:
             raise ValueError("transition subsets require changed source")
+        return super().__new__(cls, new_file, old_file, match_kind, subset, similarity)
 
     @property
     def record_id(self) -> str:
         return self.new_file.path
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    """Partition percentages over the union of old and new file events."""
+class PartitionStats(namedtuple("PartitionStats", "pct_removed pct_added pct_same_source "
+                                "pct_b00 pct_b10 pct_d11 pct_d01 counts")):
+    """Partition percentages over the union of old and new file events.
 
-    pct_removed: float
-    pct_added: float
-    pct_same_source: float
-    pct_b00: float
-    pct_b10: float
-    pct_d11: float
-    pct_d01: float
-    counts: dict = field(default_factory=dict)
+    counts defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pct_removed: float, pct_added: float, pct_same_source: float,
+                pct_b00: float, pct_b10: float, pct_d11: float, pct_d01: float,
+                counts: dict | None = None):
+        return super().__new__(cls, pct_removed, pct_added, pct_same_source, pct_b00, pct_b10,
+                               pct_d11, pct_d01, {} if counts is None else counts)
 
     def as_row(self) -> tuple[float, ...]:
         """Column order of the partition table: R, A, d=0, B00, B10, D11, D01."""

@@ -13,8 +13,7 @@ reported as absent rather than zero.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .matching import SUBSET_ORDER
 
@@ -22,18 +21,15 @@ CHANGED_SUBSETS = frozenset({"B10", "D01"})
 UNCHANGED_SUBSETS = frozenset({"B00", "D11"})
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(namedtuple("ConfusionCounts", "tp fp tn fn")):
     """Binary confusion counts with defective (1) as the positive class."""
 
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+    def __new__(cls, tp: int, fp: int, tn: int, fn: int):
+        if min(tp, fp, tn, fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
+        return super().__new__(cls, tp, fp, tn, fn)
 
     @property
     def total(self) -> int:
@@ -107,18 +103,16 @@ def harmonic_mean(a: float | None, b: float | None) -> float | None:
     return _safe_div(2.0 * a * b, a + b)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    method: str
-    subset_accuracy: dict                # subset -> accuracy or None
-    hmb: float | None
-    hmd: float | None
-    populations: dict                    # total/changed/unchanged -> (P, R, F1) or None
-    auc: float
-    fpr: float
-    mcc: float
-    counts: dict                         # subset -> evaluated count
-    excluded: int
+class EvaluationReport(namedtuple("EvaluationReport", "method subset_accuracy hmb hmd populations "
+                                  "auc fpr mcc counts excluded")):
+    """One method's metrics over its prediction rows.
+
+    subset_accuracy maps each transition subset to its accuracy or None;
+    populations maps total, changed and unchanged to (P, R, F1) or None;
+    counts maps each subset to its number of evaluated rows.
+    """
+
+    __slots__ = ()
 
 
 def evaluate_predictions(rows) -> EvaluationReport:

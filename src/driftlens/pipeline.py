@@ -17,12 +17,10 @@ in, so its records are dispatched the same way with their preparation inside.
 from __future__ import annotations
 
 import csv
-import inspect
 import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -30,36 +28,61 @@ from .baselines import BASELINE_KINDS, predict_naive
 from .context import extract_context
 from .corpus import _csv_rows, load_version, normalize_lines
 from .debate import DebateConfig, run_debate, save_transcript
-from .diffing import diff
+from .diffing import DEFAULT_CONTEXT_LINES, diff
 from .errors import ConfigurationError, DataError, PipelineStageError
-from .llm import HttpChatClient, ChatRequest, ScriptedChatClient, parse_prediction
+from .llm import (DEFAULT_MAX_IN_FLIGHT, ChatRequest, HttpChatClient, ScriptedChatClient,
+                  parse_prediction)
 from .matching import SUBSETS, MatchParams, match_files, partition
 from .metrics import evaluate_predictions, render_text, report_csv_rows
 from .prompting import METHOD_IDS, REQUIRED_INPUTS, ROLES, build_method_prompt
 
 
-def _default(fn, name: str):
-    """The default of fn's parameter name, so RunConfig restates no layer's constant."""
-    return inspect.signature(fn).parameters[name].default
+_MATCH_DEFAULTS = MatchParams()
+_DEBATE_DEFAULTS = DebateConfig()
 
 
-@dataclass
-class RunConfig:
+class _Fields:
+    """Equality and repr over the attributes that _FIELDS names, in order."""
+
+    __slots__ = ()
+    _FIELDS = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values())) + ")"
+
+
+class RunConfig(_Fields):
+    """One run's settings, one field per key of the flat config format.
+
+    The annotated class attributes below are the fields, in manifest order,
+    with their defaults; an instance holds only the fields given to it or
+    set on it. Fields are passed by keyword.
+    """
+
     dataset: str = ""
     old_csv: str = ""
     new_csv: str = ""
     path_column: str = ""
     label_column: str = ""
     source_column: str = ""
-    threshold: float = MatchParams.threshold
-    gap_multiplier: float = MatchParams.gap_multiplier
-    diff_context: int = _default(diff, "context_lines")
-    depth: int = DebateConfig.depth
-    max_lines: int = DebateConfig.max_lines
+    threshold: float = _MATCH_DEFAULTS.threshold
+    gap_multiplier: float = _MATCH_DEFAULTS.gap_multiplier
+    diff_context: int = DEFAULT_CONTEXT_LINES
+    depth: int = _DEBATE_DEFAULTS.depth
+    max_lines: int = _DEBATE_DEFAULTS.max_lines
     baseline: str = ""            # label_persistent | all_benign
     method: str = ""              # M0..M8
     debate: bool = False
-    rounds: int = DebateConfig.rounds
+    rounds: int = _DEBATE_DEFAULTS.rounds
     roles: str = ""               # analyzer=a,proposer=b,skeptic=c,judge=d
     model: str = "gpt-5-mini"
     base_url: str = ""
@@ -67,8 +90,18 @@ class RunConfig:
     caps: str = ""                # e.g. B00=100,D01=50
     seed: int = 42
     out_dir: str = "runs/latest"
-    max_in_flight: int = _default(HttpChatClient, "max_in_flight")
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     exemplar_count: int = 3
+
+    def __init__(self, **fields):
+        unknown = fields.keys() - FIELD_TYPES
+        if unknown:
+            raise TypeError(f"RunConfig has no field(s) {sorted(unknown)}")
+        vars(self).update(fields)
+
+    def replace(self, **changes) -> RunConfig:
+        """A new config with this one's fields, `changes` applied on top."""
+        return RunConfig(**{**vars(self), **changes})
 
     def selector(self) -> str:
         chosen = [name for name, active in (
@@ -150,7 +183,8 @@ class RunConfig:
 
 
 # every field's default is of its annotated type, so no annotation is evaluated
-FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+FIELD_TYPES = {name: type(getattr(RunConfig, name)) for name in RunConfig.__annotations__}
+RunConfig._FIELDS = tuple(FIELD_TYPES)
 
 
 def _coerce(key: str, raw: str, lineno: int):
@@ -196,10 +230,10 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_lines(config: RunConfig) -> list[str]:
     out = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
+    for name in FIELD_TYPES:
+        value = getattr(config, name)
         rendered = str(value).lower() if isinstance(value, bool) else str(value)
-        out.append(f"{f.name} = {rendered}")
+        out.append(f"{name} = {rendered}")
     return out
 
 
@@ -282,16 +316,30 @@ def record_materials(record, config: RunConfig, need_context: bool):
     return cs, ctx
 
 
-@dataclass
-class PredictionRow:
-    record_id: str
-    subset: str
-    old_label: int | None
-    new_label: int
-    pred_label: int | None
-    confidence: float | None
-    parse_path: str
-    method: str
+PREDICTION_COLUMNS = ("record_id", "subset", "old_label", "new_label",
+                      "pred_label", "confidence", "parse_path", "method")
+
+
+class PredictionRow(_Fields):
+    """One line of predictions.csv; old_label, pred_label and confidence may be None.
+
+    Slots rather than a namedtuple: the writer and the report read every
+    field of every row, and a slot reads several times faster.
+    """
+
+    __slots__ = _FIELDS = PREDICTION_COLUMNS
+
+    def __init__(self, record_id: str, subset: str, old_label: int | None, new_label: int,
+                 pred_label: int | None, confidence: float | None, parse_path: str,
+                 method: str):
+        self.record_id = record_id
+        self.subset = subset
+        self.old_label = old_label
+        self.new_label = new_label
+        self.pred_label = pred_label
+        self.confidence = confidence
+        self.parse_path = parse_path
+        self.method = method
 
 
 def predict_with_method(records, config: RunConfig, client, exemplars) -> list[PredictionRow]:
@@ -407,10 +455,6 @@ def write_records_csv(records, path: str | Path) -> None:
 def write_matches_csv(records, path: str | Path) -> None:
     """The match columns of records.csv: everything but the labels."""
     _write_record_rows(records, path, 5)
-
-
-PREDICTION_COLUMNS = ("record_id", "subset", "old_label", "new_label",
-                      "pred_label", "confidence", "parse_path", "method")
 
 
 def write_predictions_csv(rows: list[PredictionRow], path: str | Path) -> None:

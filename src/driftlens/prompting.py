@@ -13,7 +13,7 @@ judge's template has it, once, after PREV_LABEL_MARKER.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diffing import render_difference_list
 from .errors import ConfigurationError, OrchestrationError
@@ -206,10 +206,8 @@ _RENDER = {
 }
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    system: str
-    user: str
+class PromptBundle(namedtuple("PromptBundle", "system user")):
+    __slots__ = ()
 
 
 def _render(prompt_id: str, record, cs, ctx, exemplars, history) -> PromptBundle:

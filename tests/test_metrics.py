@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -361,7 +360,7 @@ class TestReportRendering:
 
     def test_method_is_the_rows_one_method(self):
         assert evaluate_predictions([]).method == ""
-        other = dataclasses.replace(row("b", "D01", 1, 1), method="other")
+        other = PredictionRow("b", "D01", None, 1, 1, None, "json", "other")
         with pytest.raises(ValueError, match="more than one method"):
             evaluate_predictions([row("a", "B00", 0, 0), other])
 

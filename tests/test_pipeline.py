@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import inspect
 import os
 import re
@@ -676,23 +675,28 @@ def test_test_modules_import_without_numpy():
 
 class TestCli:
     def test_cli_import_loads_no_numpy(self):
-        """Every driftlens call pays for what `import driftlens.cli` loads.
+        """Every driftlens call pays for what `import driftlens.cli` loads, and
+        every run for what `import driftlens.pipeline` loads.
 
         numpy and the thread pool (concurrent.futures, which loads logging) are
         never needed; hashlib (OpenSSL), typing and the HTTP transport's
         modules (urllib.request, http.client, ssl) load only when a run needs
-        them. -S keeps site from importing modules of its own (a .pth file
-        may import typing) before the probe looks.
+        them. The value types generate no code at import, so neither
+        dataclasses nor inspect loads, nor what they pull in (ast, dis,
+        tokenize). -S keeps site from importing modules of its own (a .pth
+        file may import typing) before the probe looks.
         """
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         unused = ("numpy", "concurrent.futures", "logging", "hashlib", "_hashlib", "typing",
-                  "urllib.request", "http.client", "ssl", "requests", "string")
-        probe = f"import sys, driftlens.cli; print([m for m in {unused!r} if m in sys.modules])"
-        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+                  "urllib.request", "http.client", "ssl", "requests", "string",
+                  "dataclasses", "inspect", "ast", "dis", "tokenize")
+        for module in ("driftlens.cli", "driftlens.pipeline"):
+            probe = f"import sys, {module}; print([m for m in {unused!r} if m in sys.modules])"
+            done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            assert done.stdout.strip() == "[]", module
 
     def test_match_and_partition(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
@@ -914,10 +918,9 @@ class TestCli:
         subparsers = next(action for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
         defaults = RunConfig()
-        field_names = {f.name for f in dataclasses.fields(RunConfig)}
         for command, parser in subparsers.choices.items():
             for action in parser._actions:
-                if (action.dest in field_names and not action.required
+                if (action.dest in pipeline.FIELD_TYPES and not action.required
                         and action.default is not argparse.SUPPRESS):
                     assert action.default == getattr(defaults, action.dest), (command, action.dest)
 
