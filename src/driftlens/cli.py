@@ -1,15 +1,17 @@
 """driftlens command line: match, partition, diff, context, prompt, baseline,
-predict, debate, evaluate, and run."""
+predict, debate, evaluate, and run.
+
+baseline, predict, debate and run are one pipeline.run each and write a run
+directory; match is the only command that writes a file of its own.
+"""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, pipeline
-from .baselines import BASELINE_KINDS
 from .errors import ConfigurationError, DriftlensError
 from .matching import match_files, partition
 from .metrics import evaluate_predictions, render_text
@@ -23,12 +25,14 @@ _SPELLINGS = {
     "threshold": ("-T", "--threshold"),
     "gap_multiplier": ("-c", "--gap-multiplier"),
     ("diff", "diff_context"): ("--context",),
+    ("baseline", "baseline"): ("--kind",),
 }
 
 _HELP = {
     "dataset": "dataset name for reports",
     "old_csv": "old-version CSV",
     "new_csv": "new-version CSV",
+    "baseline": "label_persistent or all_benign",
     "method": "M0..M8 (prompt also takes analyzer)",
     "roles": "analyzer=...,proposer=...,skeptic=...,judge=...",
     "stub": "offline scripted agents",
@@ -47,9 +51,10 @@ def _command(sub, name: str, fn, help_text: str, field_names, required=(), overr
 
     Each flag takes its type and default from RunConfig; bools are
     store_true. With `overrides`, an absent flag sets nothing, so only the
-    flags given on the command line override a loaded config.
+    flags given on the command line override a loaded config. No flag may
+    be abbreviated, so `--out` is an error where only `--out-dir` exists.
     """
-    parser = sub.add_parser(name, help=help_text)
+    parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
     defaults = pipeline.RunConfig()
     for field_name in field_names:
         flags = (_SPELLINGS.get((name, field_name)) or _SPELLINGS.get(field_name)
@@ -140,41 +145,6 @@ def cmd_prompt(args) -> int:
     return 0
 
 
-def _claim_outputs(*paths: str) -> None:
-    """Check that every output path can be opened for writing before any is written.
-
-    Each path is opened for appending, which creates a missing file but
-    leaves an existing one as it is. If one cannot be opened, the files
-    this call created are removed before the error is raised, so a path
-    that cannot be written leaves no output of the command behind.
-    """
-    made = []
-    try:
-        for path in paths:
-            fresh = not os.path.lexists(path)
-            open(path, "a", encoding="utf-8").close()
-            if fresh:
-                made.append(path)
-    except OSError:
-        for path in made:
-            os.remove(path)
-        raise
-
-
-def cmd_baseline(args) -> int:
-    _, _, records, _ = _partitioned(args)
-    kind = args.kind.replace("-", "_")
-    rows = pipeline.baseline_rows(records, kind)
-    _claim_outputs(*filter(None, (args.out, args.records_out)))
-    pipeline.write_predictions_csv(rows, args.out)
-    if args.records_out:
-        pipeline.write_records_csv(records, args.records_out)
-    report = evaluate_predictions(rows)
-    print(render_text(report))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _run_and_print(config: pipeline.RunConfig) -> int:
     report, artifacts = pipeline.run(config)
     print(render_text(report))
@@ -183,7 +153,7 @@ def _run_and_print(config: pipeline.RunConfig) -> int:
 
 
 def cmd_predict(args) -> int:
-    """predict and debate: a full run configured entirely by flags."""
+    """baseline, predict and debate: a full run configured entirely by flags."""
     return _run_and_print(pipeline.RunConfig(**_given(args)))
 
 
@@ -224,12 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                  (*DATASET_FIELDS, "method", "depth", "max_lines"), (*INPUT_FIELDS, "method"))
     p.add_argument("--record", required=True)
 
-    p = _command(sub, "baseline", cmd_baseline, "emit naive predictions and report",
-                 DATASET_FIELDS, INPUT_FIELDS)
-    p.add_argument("--kind", default="label-persistent",
-                   choices=[s for k in BASELINE_KINDS for s in (k.replace("_", "-"), k)])
-    p.add_argument("--out", default="preds.csv")
-    p.add_argument("--records-out", default="", help="also write the records CSV here")
+    _command(sub, "baseline", cmd_predict, "run a naive predictor over the whole corpus",
+             (*DATASET_FIELDS, "baseline", "out_dir"), (*INPUT_FIELDS, "baseline"))
 
     _command(sub, "predict", cmd_predict, "run one M0-M8 method over changed files",
              (*DATASET_FIELDS, "method", *LLM_RUN_FIELDS), (*INPUT_FIELDS, "method"))
@@ -238,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                  (*DATASET_FIELDS, "rounds", "roles", *LLM_RUN_FIELDS), INPUT_FIELDS)
     p.set_defaults(debate=True)
 
-    p = sub.add_parser("evaluate", help="recompute a run's report from its predictions.csv")
+    p = sub.add_parser("evaluate", help="recompute a run's report from its predictions.csv",
+                       allow_abbrev=False)
     p.add_argument("--preds", required=True)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -116,6 +116,12 @@ class RunConfig(_Fields):
 
     def validate(self) -> None:
         """Reject a config that cannot run, before any input is loaded."""
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            # the manifest holds one stripped line per field, so it could not rerun this one
+            if kind is str and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigurationError(
+                    f"{name} {value!r} has a line break or surrounding whitespace")
         self.selector()
         if self.baseline and self.baseline not in BASELINE_KINDS:
             raise ConfigurationError(f"unknown baseline {self.baseline!r}")

@@ -3,6 +3,7 @@ import csv
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -84,6 +85,9 @@ def base_config(corpus, tmp_path, **overrides):
     return config
 
 
+STR_FIELDS = [name for name, kind in pipeline.FIELD_TYPES.items() if kind is str]
+
+
 class TestConfig:
     def test_selector_exclusivity(self, corpus, tmp_path):
         config = base_config(corpus, tmp_path, method="M5", debate=True)
@@ -98,6 +102,30 @@ class TestConfig:
                              roles="judge=other-model")
         parsed = config_from_lines(config_lines(config))
         assert parsed == config
+
+    @pytest.mark.parametrize("value", ["a\nmethod = M2", " padded ", "a\rb", "a\u2028b"])
+    @pytest.mark.parametrize("name", STR_FIELDS)
+    def test_a_str_value_the_manifest_cannot_carry_is_rejected(self, tmp_path, monkeypatch,
+                                                                name, value):
+        # the inputs do not exist: the error must come from validate, before any load or write
+        monkeypatch.chdir(tmp_path)
+        config = RunConfig(baseline="label_persistent", old_csv="old.csv", new_csv="new.csv",
+                           out_dir="out").replace(**{name: value})
+        with pytest.raises(ConfigurationError, match=f"^{name} .* line break or surrounding"):
+            pipeline.run(config)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(STR_FIELDS), st.text())
+    def test_a_config_that_validates_round_trips_through_lines(self, name, value):
+        config = RunConfig(baseline="label_persistent").replace(**{name: value})
+        try:
+            config.validate()
+        except ConfigurationError:
+            return
+        # joined and split again, as write_manifest writes the lines and load_config reads them
+        manifest_text = "\n".join(config_lines(config)) + "\n"
+        assert config_from_lines(manifest_text.splitlines()) == config
 
     def test_field_types_are_the_annotations(self):
         """FIELD_TYPES reads each default's type, which must be the field's annotated type."""
@@ -179,13 +207,22 @@ class TestMethodRun:
         pipeline.run(config, client=SpyClient())
         assert all("[Defective Examples]" in prompt for prompt in seen)
 
-    def test_manifest_reruns_byte_identical(self, corpus, tmp_path):
-        config = base_config(corpus, tmp_path, method="M5")
-        _, artifacts = pipeline.run(config)
-        first = artifacts["predictions"].read_bytes()
-        assert cli_main(["run", "--config", str(artifacts["manifest"]),
+    @pytest.mark.parametrize("selector", [{"method": "M5"}, {"baseline": "label_persistent"},
+                                          {"baseline": "all_benign"}, {"debate": True}],
+                             ids=["M5", "label_persistent", "all_benign", "debate"])
+    def test_manifest_reruns_byte_identical(self, corpus, tmp_path, capsys, selector):
+        first = tmp_path / "out"
+        if "baseline" in selector:
+            old_csv, new_csv = corpus
+            assert cli_main(["baseline", "--old", str(old_csv), "--new", str(new_csv),
+                             "--dataset", "demo", "--kind", selector["baseline"],
+                             "--out-dir", str(first)]) == 0
+        else:
+            pipeline.run(base_config(corpus, tmp_path, **selector))
+        assert cli_main(["run", "--config", str(first / "manifest.txt"),
                          "--out-dir", str(tmp_path / "out2")]) == 0
-        assert (tmp_path / "out2" / "predictions.csv").read_bytes() == first
+        for name in ("records.csv", "predictions.csv", "report.txt"):
+            assert (tmp_path / "out2" / name).read_bytes() == (first / name).read_bytes()
 
     def test_m6_over_a_deletion_only_change_writes_predictions(self, tmp_path):
         # the change adds no line, so [Local Context] is built around the deleted one
@@ -674,6 +711,30 @@ def test_test_modules_import_without_numpy():
 
 
 class TestCli:
+    def test_readme_cli_lines_parse_and_cover_every_subcommand(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        commands = [shlex.split(line) for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("driftlens ")]
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {shlex.join(argv)}\n"
+                            f"{capsys.readouterr().err}")
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) <= {argv[1] for argv in commands}
+
+    def test_a_flag_is_not_abbreviated(self, capsys):
+        # --out is a prefix of baseline's --out-dir: an error, not that flag
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["baseline", "--old", "a", "--new", "b",
+                                       "--kind", "all_benign", "--out", "p.csv"])
+        assert "unrecognized arguments: --out p.csv" in capsys.readouterr().err
+
     def test_cli_import_loads_no_numpy(self):
         """Every driftlens call pays for what `import driftlens.cli` loads, and
         every run for what `import driftlens.pipeline` loads.
@@ -740,16 +801,13 @@ class TestCli:
 
     def test_baseline_cli(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
-        out = tmp_path / "preds.csv"
-        records_out = tmp_path / "records.csv"
+        out_dir = tmp_path / "run0"
         assert cli_main(["baseline", "--old", str(old_csv), "--new", str(new_csv),
-                         "--kind", "label-persistent", "--out", str(out),
-                         "--records-out", str(records_out)]) == 0
-        assert out.exists()
+                         "--kind", "label_persistent", "--out-dir", str(out_dir)]) == 0
         assert "label_persistent" in capsys.readouterr().out
-        assert records_out.exists()
-        assert cli_main(["evaluate", "--preds", str(out)]) == 0
-        assert "HMB" in capsys.readouterr().out
+        assert (out_dir / "records.csv").exists()
+        assert cli_main(["evaluate", "--preds", str(out_dir / "predictions.csv")]) == 0
+        assert capsys.readouterr().out == (out_dir / "report.txt").read_text(encoding="utf-8")
 
     def test_predict_stub_and_evaluate(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
@@ -842,11 +900,11 @@ class TestCli:
                      ["diff", *inputs, *record],
                      ["context", *inputs, *record],
                      ["prompt", *inputs, *record, "--method", "M5"],
-                     ["baseline", *inputs, "--out", str(tmp_path / "p.csv")],
+                     ["baseline", *inputs, "--kind", "label_persistent"],
                      ["predict", *inputs, "--method", "M5", "--stub"],
                      ["debate", *inputs, "--stub"]):
             assert cli_main([*argv, "--out-dir", str(tmp_path / "o")]
-                            if argv[0] in ("predict", "debate") else argv) == 2, argv
+                            if argv[0] in ("baseline", "predict", "debate") else argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") and bad[0][2:].replace("-", "_") in err, argv
         assert not (tmp_path / "o").exists()
@@ -869,28 +927,14 @@ class TestCli:
         a_file.write_text("", encoding="utf-8")
         inputs = ["--old", str(old_csv), "--new", str(new_csv)]
         argv = {"match": ["match", *inputs, "--out", str(tmp_path / "missing" / "m.csv")],
-                "baseline": ["baseline", *inputs, "--out", str(tmp_path / "missing" / "p.csv")],
+                "baseline": ["baseline", *inputs, "--kind", "label_persistent",
+                             "--out-dir", str(a_file / "x")],
                 "predict": ["predict", *inputs, "--method", "M5", "--stub",
                             "--out-dir", str(a_file / "x")]}[command]
+        before = sorted(tmp_path.rglob("*"))
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
-
-    @pytest.mark.parametrize("bad", ["out", "records_out"])
-    def test_baseline_writes_no_output_when_one_path_cannot_be_written(self, corpus, tmp_path,
-                                                                       capsys, bad):
-        old_csv, new_csv = corpus
-        outs = tmp_path / "outs"
-        outs.mkdir()
-        kept = outs / "kept.csv"
-        kept.write_text("untouched\n", encoding="utf-8")
-        paths = {"out": outs / "p.csv", "records_out": kept}
-        paths[bad] = outs / "missing" / "x.csv"
-        assert cli_main(["baseline", "--old", str(old_csv), "--new", str(new_csv),
-                         "--out", str(paths["out"]),
-                         "--records-out", str(paths["records_out"])]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert [p.name for p in outs.iterdir()] == ["kept.csv"]
-        assert kept.read_text(encoding="utf-8") == "untouched\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_m7_without_a_defective_old_file_writes_nothing(self, tmp_path, capsys):
         old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
@@ -976,6 +1020,7 @@ class TestCli:
                                   encoding="utf-8")
         m5 = ["predict", *inputs, "--stub", "--method", "M5"]
         for k, argv in enumerate(([*m5, "--diff-context", "-1"], [*m5, "-T", "2"],
+                                  ["baseline", *inputs, "--kind", "label-persistent"],
                                   ["debate", *inputs, "--stub", "--rounds", "0"],
                                   ["run", "--config", str(no_exemplars)],
                                   ["run", "--config", str(zero_exemplars)],
