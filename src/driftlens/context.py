@@ -21,8 +21,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, count
-from operator import add
 
 RAW_WINDOW = 3  # lines kept around changed lines that fall outside any method
 
@@ -177,11 +175,6 @@ def extract_methods(source: str) -> list[MethodSpan]:
     if not source:
         return []
     masked = mask_source(source)
-    lines = source.split("\n")
-    # offsets of each line start, then one past the end; masking keeps every
-    # offset but may blank a newline, so both texts are cut by source lines
-    line_starts = list(map(add, accumulate(map(len, lines), initial=0), count()))
-
     partner = _partners(masked)
     # a match in text starts at its line's start in masked offsets, and
     # its "(" sits at m.end() - 2 in masked offsets
@@ -190,6 +183,10 @@ def extract_methods(source: str) -> list[MethodSpan]:
     spans: list[MethodSpan] = []
     claimed: set[tuple[int, int]] = set()
     for pattern, name_group in ((_SIG_RE, 3), (_CTOR_RE, 2)):
+        # each pattern's matches start in ascending order, so lines are counted
+        # on from the last match; masking keeps every offset but may blank a
+        # newline, so lines are counted in source
+        at, line = 0, 1
         for m in pattern.finditer(text):
             name = m.group(name_group)
             if name in _CONTROL_KEYWORDS:
@@ -208,17 +205,22 @@ def extract_methods(source: str) -> list[MethodSpan]:
             end = partner.get(tail.start())
             if end is None:
                 continue
-            start_line = bisect_right(line_starts, m.start())
-            end_line = bisect_right(line_starts, end)
-            if (start_line, end_line) in claimed:
+            first = m.start()
+            line += source.count("\n", at, first)
+            at = first
+            end_line = line + source.count("\n", first, end)
+            if (line, end_line) in claimed:
                 continue
-            claimed.add((start_line, end_line))
+            claimed.add((line, end_line))
+            last = source.find("\n", end)
+            if last < 0:
+                last = len(source)
             spans.append(MethodSpan(
                 name=name,
-                start_line=start_line,
+                start_line=line,
                 end_line=end_line,
-                body=source[line_starts[start_line - 1]:line_starts[end_line] - 1],
-                masked_body=masked[line_starts[start_line - 1]:line_starts[end_line] - 1],
+                body=source[first:last],
+                masked_body=masked[first:last],
             ))
     spans.sort(key=lambda s: (s.start_line, s.end_line))
     return spans

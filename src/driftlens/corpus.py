@@ -20,6 +20,12 @@ newline="", it leaves every line end as it is in the file, which the CSV
 grammar needs, and unlike newline="" it sends no decoded block through a
 universal-newline pass. One byte-order mark at the start of the file is
 skipped.
+
+Most files persist unchanged from one snapshot to the next, so a later
+snapshot loaded with the earlier one as `previous` reuses the earlier one's
+source string for each path whose text is unchanged. It does so in the row
+loop, as each row is read, so the copy just parsed is freed with its block
+before the heap grows.
 """
 
 from __future__ import annotations
@@ -235,12 +241,18 @@ def _parse_label(raw: str, row_number: int) -> int:
 
 def load_version(csv_path: str | Path, label_column: str | None = None,
                  source_column: str | None = None, path_column: str | None = None,
-                 version_id: str | None = None, dataset_name: str = "") -> VersionSet:
+                 version_id: str | None = None, dataset_name: str = "",
+                 previous: VersionSet | None = None) -> VersionSet:
     """Load one labeled snapshot CSV into a VersionSet.
 
     Bug counts threshold at >0 -> defective. Source text is kept exactly as
     stored (after CSV unescaping); invalid UTF-8 bytes are replaced. A
     byte-order mark at the start of the file is skipped.
+
+    A file whose path is in `previous` with equal source takes that file's
+    source string, so text unchanged since the earlier snapshot is held once.
+    The row loop shares it as each row is read: the copy just parsed is freed
+    with its block, before the heap grows, and later rows reuse its memory.
     """
     csv_path = Path(csv_path)
     if not csv_path.is_file():
@@ -258,15 +270,20 @@ def load_version(csv_path: str | Path, label_column: str | None = None,
         source_col = _pick_column(header, source_column, SOURCE_COLUMNS, "source")
         idx = {name: header.index(name) for name in (path_col, label_col, source_col)}
 
+        earlier = previous._by_path if previous is not None else {}
         files = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) < len(header):
                 raise DataError(f"row {row_number} has {len(row)} fields, expected {len(header)}")
+            path, source = row[idx[path_col]], row[idx[source_col]]
+            old = earlier.get(path)
+            if old is not None and old.source == source:
+                source = old.source
             files.append(VersionedFile(
-                path=row[idx[path_col]],
-                source=row[idx[source_col]],
+                path=path,
+                source=source,
                 label=_parse_label(row[idx[label_col]], row_number),
                 version_id=vid,
             ))

@@ -118,10 +118,17 @@ class RunConfig(_Fields):
         """Reject a config that cannot run, before any input is loaded."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
+            if kind is not str:
+                continue
             # the manifest holds one stripped line per field, so it could not rerun this one
-            if kind is str and (value != value.strip() or len(value.splitlines()) > 1):
+            if value != value.strip() or len(value.splitlines()) > 1:
                 raise ConfigurationError(
                     f"{name} {value!r} has a line break or surrounding whitespace")
+            # nor one it cannot write, such as a lone surrogate from a non-UTF-8 argument
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigurationError(f"{name} {value!r} is not encodable as UTF-8") from None
         self.selector()
         if self.baseline and self.baseline not in BASELINE_KINDS:
             raise ConfigurationError(f"unknown baseline {self.baseline!r}")
@@ -263,8 +270,9 @@ def load_sets(config: RunConfig):
     columns = {"path_column": config.path_column or None,
                "label_column": config.label_column or None,
                "source_column": config.source_column or None}
-    return (load_version(config.old_csv, dataset_name=config.dataset, **columns),
-            load_version(config.new_csv, dataset_name=config.dataset, **columns))
+    old_set = load_version(config.old_csv, dataset_name=config.dataset, **columns)
+    return old_set, load_version(config.new_csv, dataset_name=config.dataset,
+                                 previous=old_set, **columns)
 
 
 def sample_records(records, caps: dict[str, int], seed: int):

@@ -186,8 +186,9 @@ def reference_load_version(csv_path, version_id="v"):
     return [(f.path, f.source, f.label) for f in vset.files]
 
 
-def loaded(csv_path):
-    return [(f.path, f.source, f.label) for f in load_version(csv_path, version_id="v").files]
+def loaded(csv_path, previous=None):
+    return [(f.path, f.source, f.label)
+            for f in load_version(csv_path, version_id="v", previous=previous).files]
 
 
 def outcome(load, csv_path):
@@ -330,6 +331,27 @@ def test_oversized_field_after_an_irregular_quote(tmp_path, rows, expected):
     assert csv.field_size_limit() == limit
 
 
+def test_load_version_shares_only_unchanged_same_path_sources_with_previous(tmp_path):
+    def snapshot(vid, sources):
+        files = tuple(VersionedFile(path, source, label, vid)
+                      for path, (source, label) in sources.items())
+        write_version(VersionSet(vid, "", files), tmp_path / f"{vid}.csv")
+        return tmp_path / f"{vid}.csv"
+
+    old_csv = snapshot("old", {"Kept.java": ("class Kept {}\n", 0),
+                               "Edited.java": ("class Edited {}\n", 1),
+                               "a/Moved.java": ("class Moved {}\n", 0)})
+    new_csv = snapshot("new", {"Kept.java": ("class Kept {}\n", 1),
+                               "Edited.java": ("class Edited { int x; }\n", 1),
+                               "b/Moved.java": ("class Moved {}\n", 0),
+                               "Added.java": ("class Added {}\n", 0)})
+    old = load_version(old_csv)
+    new = load_version(new_csv, previous=old)
+    assert new.files == load_version(new_csv).files
+    shared = [(f.path, g.path) for f in new.files for g in old.files if f.source is g.source]
+    assert shared == [("Kept.java", "Kept.java")]
+
+
 def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     synth = importlib.import_module("synth")
@@ -339,6 +361,8 @@ def test_load_version_equals_csv_reader_loader_on_benchmark_pairs(tmp_path, monk
         paths = synth.write_pair(params, 3, tmp_path / name)
         for side in ("old", "new"):
             assert loaded(paths[side]) == reference_load_version(paths[side]), (name, side)
+        old_set = load_version(paths["old"])
+        assert loaded(paths["new"], old_set) == reference_load_version(paths["new"]), name
 
 
 # a \r\n and a "" pair split by the real block edge, and a 4-byte character whose

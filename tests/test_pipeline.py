@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import importlib
 import inspect
 import os
 import re
@@ -27,6 +29,8 @@ from driftlens.matching import MatchParams
 from driftlens.metrics import render_text
 from driftlens.pipeline import PredictionRow, RunConfig, config_from_lines, config_lines
 from snapshot_csv import write_version
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def java_file(path, body_line, label=0, version="v"):
@@ -126,6 +130,17 @@ class TestConfig:
         # joined and split again, as write_manifest writes the lines and load_config reads them
         manifest_text = "\n".join(config_lines(config)) + "\n"
         assert config_from_lines(manifest_text.splitlines()) == config
+
+    @pytest.mark.parametrize("name", STR_FIELDS)
+    def test_a_str_value_utf8_cannot_encode_is_rejected_before_any_write(
+            self, corpus, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        inputs = sorted(tmp_path.iterdir())
+        config = RunConfig(baseline="label_persistent", old_csv=str(corpus[0]),
+                           new_csv=str(corpus[1]), out_dir="out").replace(**{name: "a\udcffb"})
+        with pytest.raises(ConfigurationError, match=f"^{name} .* not encodable as UTF-8"):
+            pipeline.run(config)
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_field_types_are_the_annotations(self):
         """FIELD_TYPES reads each default's type, which must be the field's annotated type."""
@@ -592,6 +607,20 @@ class TestVersionPairAtScale:
         assert f1 == pytest.approx(0.7353, abs=0.02)
         assert report.mcc == pytest.approx(0.4842, abs=0.02)
         assert report.fpr == pytest.approx(0.0523, abs=0.02)
+
+
+def test_load_sets_holds_each_unchanged_source_once(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    params = dataclasses.replace(workloads.WORKLOADS["rename-baseline"].corpus, files=100)
+    paths = synth.write_pair(params, 11, tmp_path)
+    old_set, new_set = pipeline.load_sets(
+        RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"])))
+    pairs = [(old_set.get(p).source, new_set.get(p).source) for p in new_set.paths if p in old_set]
+    unchanged = [(old, new) for old, new in pairs if old == new]
+    assert unchanged
+    assert all(old is new for old, new in unchanged)
 
 
 class TestStageErrors:
