@@ -16,7 +16,6 @@ in, so its records are dispatched the same way with their preparation inside.
 
 from __future__ import annotations
 
-import csv
 import random
 import threading
 import time
@@ -445,21 +444,25 @@ RECORD_COLUMNS = ("new_path", "old_path", "match_kind", "similarity",
                   "subset", "old_label", "new_label")
 
 
+def _write_table(rows, path: str | Path) -> None:
+    """Write rows of two or more str cells as csv.writer(fh).writerows(rows) writes them."""
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    # more separators than the joins put in: a cell holds one, so quote each that does
+    if (text.count(",") != sum(map(len, rows)) - len(rows) or '"' in text
+            or text.count("\r") != len(rows) or text.count("\n") != len(rows)):
+        plain = frozenset(',"\r\n').isdisjoint
+        text = "".join([",".join([c if plain(c) else '"' + c.replace('"', '""') + '"'
+                                  for c in row]) + "\r\n" for row in rows])
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def _write_record_rows(records, path: str | Path, width: int) -> None:
     """Write the first `width` RECORD_COLUMNS of each evolution record."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS[:width])
-        for r in records:
-            writer.writerow([
-                r.new_file.path,
-                r.old_file.path if r.old_file else "",
-                r.match_kind,
-                f"{r.similarity:.6f}" if r.similarity is not None else "",
-                r.subset,
-                r.old_file.label if r.old_file else "",
-                r.new_file.label,
-            ][:width])
+    _write_table([RECORD_COLUMNS[:width], *([
+        r.new_file.path, r.old_file.path if r.old_file else "", r.match_kind,
+        f"{r.similarity:.6f}" if r.similarity is not None else "", r.subset,
+        f"{r.old_file.label}" if r.old_file else "", f"{r.new_file.label}",
+    ][:width] for r in records)], path)
 
 
 def write_records_csv(records, path: str | Path) -> None:
@@ -472,18 +475,11 @@ def write_matches_csv(records, path: str | Path) -> None:
 
 
 def write_predictions_csv(rows: list[PredictionRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.record_id, row.subset,
-                "" if row.old_label is None else row.old_label,
-                row.new_label,
-                "" if row.pred_label is None else row.pred_label,
-                "" if row.confidence is None else f"{row.confidence:.4f}",
-                row.parse_path, row.method,
-            ])
+    _write_table([PREDICTION_COLUMNS, *([
+        row.record_id, row.subset, "" if row.old_label is None else f"{row.old_label}",
+        f"{row.new_label}", "" if row.pred_label is None else f"{row.pred_label}",
+        "" if row.confidence is None else f"{row.confidence:.4f}", row.parse_path, row.method,
+    ] for row in rows)], path)
 
 
 def _optional(kind, raw: str):
@@ -495,9 +491,10 @@ def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
 
     Raises ConfigurationError for an unreadable file or a missing column and
     DataError for text that is not UTF-8, a malformed row, a label other
-    than 0/1, a repeated record_id, or rows of more than one method. The
-    line named in a message counts records, the header being line 1; for a
-    file that write_predictions_csv wrote, that is the line the record is on.
+    than 0/1, a repeated record_id, or rows of more than one method. A blank
+    row is skipped, as load_version and csv.DictReader skip one. The line
+    named in a message numbers rows, blank ones too, from the header's 1: the
+    file's line unless an earlier cell holds a line break.
     """
     try:
         fh = open(path, newline="\n", encoding="utf-8-sig")
@@ -522,6 +519,8 @@ def _prediction_rows(path: str | Path, reader) -> list[PredictionRow]:
     if missing:
         raise ConfigurationError(f"{path} lacks column(s) {', '.join(missing)}")
     for line, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
         where = f"{path} line {line}"
         if len(cells) != len(header):
             raise DataError(f"{where} has {len(cells)} fields, expected {len(header)}")
@@ -596,8 +595,8 @@ def run(config: RunConfig, client=None):
     with _stage("evaluate"):
         report = evaluate_predictions(rows)
         (out_dir / "report.txt").write_text(render_text(report) + "\n", encoding="utf-8")
-        with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(report_csv_rows(report))
+        _write_table([[key, "" if value is None else str(value)]
+                      for key, value in report_csv_rows(report)], out_dir / "report.csv")
         artifacts["report_txt"] = out_dir / "report.txt"
         artifacts["report_csv"] = out_dir / "report.csv"
 

@@ -55,6 +55,34 @@ def test_dice_span_opens_once_per_pending_file(tmp_path, monkeypatch):
     assert counts["dice_pairs"] == counts["pending"] * counts["candidates"]
 
 
+def test_write_span_opens_once_per_artifact_writer(tmp_path, monkeypatch):
+    """pipeline.write_s times each artifact writer of a baseline run, once each."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    synth = importlib.import_module("synth")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["rename-baseline"]
+    paths = synth.write_pair(dataclasses.replace(workload.corpus, files=150), 3, tmp_path)
+    config = pipeline.RunConfig(old_csv=str(paths["old"]), new_csv=str(paths["new"]),
+                                out_dir=str(tmp_path / "out"), **workload.config)
+    writers = ("write_matches_csv", "write_records_csv", "write_predictions_csv",
+               "write_manifest")
+    tracer = worker.Tracer()
+    try:
+        worker.install_spans(tracer, Counter(), [])
+        for name in writers:  # outside perfbench's span, so each call encloses its span
+            tracer.wrap(pipeline, name, name)
+        pipeline.run(config)
+    finally:
+        tracer.restore()
+    write_spans = [span for span in tracer.spans if span.name == "pipeline.write"]
+    assert len(write_spans) == len(writers)
+    for name in writers:
+        (call,) = [span for span in tracer.spans if span.name == name]
+        assert sum(call.start <= span.start and span.end <= call.end
+                   for span in write_spans) == 1, name
+
+
 def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
     """corpus.load_s, files and mbytes stay measures of loading the two snapshots.
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import re
 import shlex
@@ -15,7 +16,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftlens import pipeline
@@ -23,11 +24,13 @@ from driftlens.cli import build_parser, main as cli_main
 from driftlens.corpus import VersionedFile, VersionSet
 from driftlens.debate import DebateConfig
 from driftlens.diffing import diff
-from driftlens.errors import ConfigurationError, PipelineStageError
+from driftlens.errors import ConfigurationError, DataError, PipelineStageError
 from driftlens.llm import HttpChatClient, ScriptedChatClient
-from driftlens.matching import MatchParams
+from driftlens.matching import SUBSETS, MatchParams
 from driftlens.metrics import render_text
-from driftlens.pipeline import PredictionRow, RunConfig, config_from_lines, config_lines
+from driftlens.pipeline import (PREDICTION_COLUMNS, PredictionRow, RunConfig, config_from_lines,
+                                config_lines)
+from driftlens.prompting import METHOD_IDS
 from snapshot_csv import write_version
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -641,6 +644,13 @@ prediction_rows = st.builds(
     confidence=st.one_of(st.none(), st.integers(0, 10_000).map(lambda k: k / 10_000)),
     parse_path=cells, method=st.just("M5"))
 
+# cells that csv.writer must quote, others it writes as they are, and the empty cell
+table_cells = st.text(st.sampled_from([",", '"', "\r", "\n", "\u2028", "\x00", "é",
+                                       "\U0001f600", "a"]), max_size=4)
+# the report's two columns, and those of matches.csv, records.csv and predictions.csv
+tables = st.sampled_from([2, 5, 7, 8]).flatmap(lambda width: st.lists(
+    st.lists(table_cells, min_size=width, max_size=width), min_size=1, max_size=6))
+
 
 class TestArtifactReaders:
     def test_predictions_csv_round_trip(self, corpus, tmp_path):
@@ -658,6 +668,31 @@ class TestArtifactReaders:
         pipeline.write_predictions_csv(rows, path)
         assert pipeline.read_predictions_csv(path) == rows
 
+    @settings(max_examples=300, deadline=None)
+    @given(tables)
+    @example([list(PREDICTION_COLUMNS), ["A.java", "B00", "0", "1", "1", "0.5000", "json", "M5"]])
+    @example([["metric", "value"], ["method", "M5"], ["acc_B00", "0.5"],
+              ["count_B00", 'a "quoted", split\r\nvalue']])
+    def test_table_writer_writes_the_bytes_of_csv_writer(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        pipeline._write_table(table, path)
+        expected = path.with_name("csv_writer.csv")
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_read_skips_a_blank_row_and_counts_its_line(self, tmp_path, capsys):
+        rows = [PredictionRow("A.java", "B00", 0, 1, 1, 0.5, "json", "M5")]
+        path = tmp_path / "predictions.csv"
+        pipeline.write_predictions_csv(rows, path)
+        written = path.read_bytes()
+        path.write_bytes(written + b"\r\n")
+        assert pipeline.read_predictions_csv(path) == rows
+        assert cli_main(["evaluate", "--preds", str(path)]) == 0
+        assert capsys.readouterr().out == render_text(pipeline.evaluate_predictions(rows)) + "\n"
+        path.write_bytes(written + b"\r\nB.java,B00,0,yes,0,,json,M5\r\n")
+        with pytest.raises(DataError, match=r"predictions\.csv line 4: "):
+            pipeline.read_predictions_csv(path)
 
     def test_read_skips_a_byte_order_mark_at_the_start_of_the_file_only(self, tmp_path):
         rows = [PredictionRow("\ufeffA.java", "B00", 0, 1, 1, 0.5, "json", "M5"),
@@ -703,6 +738,71 @@ def assert_evaluate_prints_run_report(config, capsys, client=None):
     assert re.fullmatch(r"# elapsed_seconds: \d+\.\d{3}", manifest[2])
     assert pipeline.load_config(artifacts["manifest"]) == config
     return report
+
+
+SELECTORS = [{"baseline": "label_persistent"}, {"baseline": "all_benign"},
+             *({"method": method} for method in METHOD_IDS), {"debate": True}]
+rates = st.floats(0, 1)
+synth_shapes = st.fixed_dictionaries({
+    "files": st.integers(2, 12), "methods": st.integers(1, 4),
+    "lines_per_method": st.integers(2, 8), "calls_per_method": st.integers(0, 2),
+    "edit_rate": rates, "edit_shape": st.sampled_from(["local", "spread"]),
+    "rename_rate": rates, "add_remove_rate": rates, "label_flip_rate": rates})
+# no file changes, so no record falls in a transition subset and predictions.csv is a header
+NO_TRANSITION = dict(files=2, methods=1, lines_per_method=2, calls_per_method=0, edit_rate=0.0,
+                     edit_shape="local", rename_rate=0.0, add_remove_rate=0.0,
+                     label_flip_rate=0.0)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=synth_shapes, seed=st.integers(0, 2**16), selector=st.sampled_from(SELECTORS),
+       depth=st.integers(0, 2), max_lines=st.integers(1, 40))
+@example(shape=NO_TRANSITION, seed=0, selector={"method": "M5"}, depth=1, max_lines=20)
+@example(shape=NO_TRANSITION, seed=0, selector={"debate": True}, depth=1, max_lines=20)
+def test_whole_run_over_generated_version_pairs(tmp_path_factory, monkeypatch, capsys, shape,
+                                                seed, selector, depth, max_lines):
+    """Any generated pair, any predictor in stub mode: records.csv is the
+    generator's truth, predictions.csv holds one row per sampled record,
+    `driftlens evaluate --preds` reprints report.txt, and a rerun into a
+    fresh directory writes the same bytes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synth = importlib.import_module("synth")
+    base = tmp_path_factory.mktemp("whole_run")
+    paths = synth.write_pair(synth.SynthParams(**shape), seed, base / "pair")
+    config = RunConfig(dataset="synth", old_csv=str(paths["old"]), new_csv=str(paths["new"]),
+                       out_dir=str(base / "first"), stub=True, rounds=1, depth=depth,
+                       max_lines=max_lines, **selector)
+    if config.method == "M7" and not any(
+            f.label for f in pipeline.load_version(paths["old"]).files):
+        with pytest.raises(ConfigurationError):
+            pipeline.run(config)
+        assert not (base / "first").exists()
+        return
+    assert_evaluate_prints_run_report(config, capsys)
+
+    def csv_rows(name):
+        with open(base / "first" / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    records = csv_rows("records.csv")
+    truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
+    by_path = sorted(({k: v for k, v in row.items() if k != "similarity"} for row in records),
+                     key=lambda row: row["new_path"])
+    assert by_path == sorted(({k: str(v) for k, v in row.items()} for row in truth),
+                             key=lambda row: row["new_path"])
+    sampled = [row["new_path"] for row in records if config.baseline or row["subset"] in SUBSETS]
+    assert [row["record_id"] for row in csv_rows("predictions.csv")] == sampled
+
+    rerun = config.replace(out_dir=str(base / "second"))
+    pipeline.run(rerun)
+    assert pipeline.load_config(base / "second" / "manifest.txt") == rerun
+
+    def artifacts(out_dir):
+        return {path.relative_to(out_dir): path.read_bytes() for path in out_dir.rglob("*")
+                if path.is_file() and path.name != "manifest.txt"}
+
+    assert artifacts(base / "second") == artifacts(base / "first")
 
 
 def test_test_modules_import_without_numpy():
