@@ -7,11 +7,10 @@ manifest that reproduces the run byte-for-byte in stub mode. The report is
 a function of predictions.csv alone; the run's wall time is a comment line
 of the manifest.
 
-M0-M8 runs prepare, then dispatch: every record's diff, context and prompt
-are built in one sequential pass before the first endpoint call, and the
-finished requests are then sent on up to max_in_flight threads, the calling
-one included. The debate builds each record's prompts as its replies come
-in, so its records are dispatched the same way with their preparation inside.
+An LLM run, M0-M8 or the debate, prepares, then converses: every record's
+diff, its context and, for M0-M8, its request are built in one sequential
+pass before the first endpoint call. Each record's call, or its debate,
+then runs on up to max_in_flight threads, the calling one included.
 """
 
 from __future__ import annotations
@@ -355,41 +354,39 @@ class PredictionRow(_Fields):
         self.method = method
 
 
-def predict_with_method(records, config: RunConfig, client, exemplars) -> list[PredictionRow]:
-    need_context = "local_context" in REQUIRED_INPUTS[config.method]
+def predict(records, config: RunConfig, client, exemplars) -> list[PredictionRow]:
+    """The rows of config.method or the debate over records, in input order.
 
-    def request(record) -> ChatRequest:
+    Every record is prepared first, in order: its diff, its context where
+    the prompts read one and, for M0-M8, its request. So a record that
+    cannot be prepared fails the run before the first call. Then each record
+    converses on _map_records' threads: M0-M8 sends its request and parses
+    the reply, the debate runs the role schedule and saves its transcript.
+    """
+    need_context = config.debate or "local_context" in REQUIRED_INPUTS[config.method]
+    cfg = config.debate_config() if config.debate else None
+
+    def prepare(record) -> tuple:
         cs, ctx = record_materials(record, config, need_context)
+        if config.debate:
+            return record, cs, ctx
         bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)
-        return ChatRequest.single_turn(config.model, bundle.system, bundle.user,
-                                       tag=config.method, record_id=record.record_id)
+        return record, ChatRequest.single_turn(config.model, bundle.system, bundle.user,
+                                               tag=config.method, record_id=record.record_id)
 
-    def one(item) -> PredictionRow:
-        record, req = item
-        parsed = parse_prediction(client.complete(req), "json_shape")
-        return PredictionRow(record.record_id, record.subset, record.old_file.label,
-                             record.new_file.label, parsed.label, parsed.confidence,
-                             parsed.parse_path, config.method)
-
-    # every request is built before the first call, so no diff or context waits on one
-    prepared = [(record, request(record)) for record in records]
-    return _map_records(one, prepared, config, client)
-
-
-def predict_with_debate(records, config: RunConfig, client,
-                        transcripts_dir: Path) -> list[PredictionRow]:
-    cfg = config.debate_config()
-
-    def one(record) -> PredictionRow:
-        cs, ctx = record_materials(record, config, need_context=True)
-        transcript = run_debate(record, cs, ctx, cfg, client)
-        save_transcript(transcript, transcripts_dir)
-        verdict = transcript.verdict
+    def converse(prepared: tuple) -> PredictionRow:
+        record, *materials = prepared
+        if config.debate:
+            transcript = run_debate(record, *materials, cfg, client)
+            save_transcript(transcript, Path(config.out_dir, "transcripts"))
+            verdict = transcript.verdict
+        else:
+            verdict = parse_prediction(client.complete(*materials), "json_shape")
         return PredictionRow(record.record_id, record.subset, record.old_file.label,
                              record.new_file.label, verdict.label, verdict.confidence,
-                             verdict.parse_path, "debate")
+                             verdict.parse_path, config.method or "debate")
 
-    return _map_records(one, records, config, client)
+    return _map_records(converse, [prepare(record) for record in records], config, client)
 
 
 def _map_records(fn, items: list, config: RunConfig, client) -> list[PredictionRow]:
@@ -575,20 +572,16 @@ def run(config: RunConfig, client=None):
         artifacts["records"] = out_dir / "records.csv"
         artifacts["stats"] = stats
 
-    selector = config.selector()
     with _stage("predict"):
-        if selector == "baseline":
+        if config.baseline:
             rows = baseline_rows(records, config.baseline)
         else:
             sampled = sample_records(records, config.subset_caps(), config.seed)
             if client is None:
                 client = make_client(config)
-            if selector == "method":
-                rows = predict_with_method(sampled, config, client, exemplars)
-            else:
-                transcripts_dir = out_dir / "transcripts"
-                rows = predict_with_debate(sampled, config, client, transcripts_dir)
-                artifacts["transcripts"] = transcripts_dir
+            rows = predict(sampled, config, client, exemplars)
+            if config.debate:
+                artifacts["transcripts"] = out_dir / "transcripts"
         write_predictions_csv(rows, out_dir / "predictions.csv")
         artifacts["predictions"] = out_dir / "predictions.csv"
 

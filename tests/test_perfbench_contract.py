@@ -117,7 +117,8 @@ def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
 
 def test_debate_spans_read_what_the_debate_layers_return(tmp_path, monkeypatch):
     """A traced context-debate run: the spans read the context bundle, the
-    call graph, the role prompts, the verdict parse and the transcript."""
+    call graph, the role prompts, the verdict parse and the transcript, and
+    every diff and context is built before the first call."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     synth = importlib.import_module("synth")
@@ -139,3 +140,7 @@ def test_debate_spans_read_what_the_debate_layers_return(tmp_path, monkeypatch):
     assert layers["context.edges"] > 0
     assert layers["debate.calls_per_record"] >= 4
     assert layers["llm.parse_marker"] == layers["diffing.records"] > 0
+    prepared = [span.end for span in tracer.spans
+                if span.name in ("diffing.diff", "context.extract_context")]
+    assert prepared and max(prepared) <= min(
+        span.start for span in tracer.spans if span.name == "llm.complete")

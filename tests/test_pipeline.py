@@ -23,7 +23,7 @@ from driftlens import pipeline
 from driftlens.cli import build_parser, main as cli_main
 from driftlens.corpus import VersionedFile, VersionSet
 from driftlens.debate import DebateConfig
-from driftlens.diffing import diff
+from driftlens.diffing import apply_unified, diff
 from driftlens.errors import ConfigurationError, DataError, PipelineStageError
 from driftlens.llm import HttpChatClient, ScriptedChatClient
 from driftlens.matching import SUBSETS, MatchParams
@@ -366,54 +366,70 @@ def six_records(tmp_path):
 
 SIX_IDS = [f"pkg/C{i}.java" for i in range(6)]
 
+# Per LLM predictor: its selector, the pipeline name it prepares each record
+# through, the record an argument list of that name is for, and its calls per
+# record. A prepared debate record is its diff and context; both name it only
+# in the unified diff's header.
+PREPARES = {
+    "M5": ({"method": "M5"}, "build_method_prompt", lambda args: args[1].record_id, 1),
+    "debate": ({"method": "", "debate": True}, "extract_context",
+               lambda args: re.search(r"^\+\+\+ b/(\S+)$", args[0].unified, re.M)[1], 4),
+}
+
 
 class TestDispatch:
-    """A live M0-M8 run builds every request first, then dispatches them on threads."""
+    """A live LLM run prepares every record first, then dispatches them on threads."""
 
     def run_live(self, corpus, tmp_path, transport, width=2, **overrides):
-        config = base_config(corpus, tmp_path, method="M5", stub=False, max_in_flight=width,
-                             **overrides)
+        config = base_config(corpus, tmp_path, **{"method": "M5", "stub": False,
+                                                  "max_in_flight": width, **overrides})
         return pipeline.run(config, client=pipeline.make_client(config, transport))
 
+    @pytest.mark.parametrize("predictor", PREPARES)
     def test_every_request_is_built_before_the_first_call(self, six_records, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch, predictor):
+        selector, name, record_id, calls_per_record = PREPARES[predictor]
         log = []
-        build = pipeline.build_method_prompt
+        prepare = getattr(pipeline, name)
 
-        def logged_build(method_id, record, *args, **kwargs):
-            log.append(("build", record.record_id))
-            return build(method_id, record, *args, **kwargs)
+        def logged_prepare(*args, **kwargs):
+            log.append(("prepare", record_id(args)))
+            return prepare(*args, **kwargs)
 
         def transport(url, headers, payload, timeout):
             log.append(("call", record_of(payload)))
             return verdict()
 
-        monkeypatch.setattr(pipeline, "build_method_prompt", logged_build)
-        self.run_live(six_records, tmp_path, transport)
-        assert log[:6] == [("build", rid) for rid in SIX_IDS]
-        assert sorted(rid for kind, rid in log[6:] if kind == "call") == SIX_IDS
-        assert len(log) == 12
+        monkeypatch.setattr(pipeline, name, logged_prepare)
+        self.run_live(six_records, tmp_path, transport, **selector)
+        assert log[:6] == [("prepare", rid) for rid in SIX_IDS]
+        assert sorted(rid for kind, rid in log[6:] if kind == "call") == sorted(
+            SIX_IDS * calls_per_record)
+        assert len(log) == 6 + 6 * calls_per_record
 
-    def test_a_failed_prompt_build_sends_nothing(self, six_records, tmp_path, monkeypatch):
-        built, calls = [], []
-        build = pipeline.build_method_prompt
+    @pytest.mark.parametrize("predictor", PREPARES)
+    def test_a_failed_prompt_build_sends_nothing(self, six_records, tmp_path, monkeypatch,
+                                                 predictor):
+        selector, name, record_id, _ = PREPARES[predictor]
+        prepared, calls = [], []
+        prepare = getattr(pipeline, name)
 
-        def failing_build(method_id, record, *args, **kwargs):
-            built.append(record.record_id)
-            if record.record_id == SIX_IDS[-1]:
-                raise ValueError("cannot render this record")
-            return build(method_id, record, *args, **kwargs)
+        def failing_prepare(*args, **kwargs):
+            prepared.append(record_id(args))
+            if prepared[-1] == SIX_IDS[-1]:
+                raise ValueError("cannot prepare this record")
+            return prepare(*args, **kwargs)
 
         def transport(url, headers, payload, timeout):
             calls.append(record_of(payload))
             return verdict()
 
-        monkeypatch.setattr(pipeline, "build_method_prompt", failing_build)
+        monkeypatch.setattr(pipeline, name, failing_prepare)
         with pytest.raises(PipelineStageError) as info:
-            self.run_live(six_records, tmp_path, transport)
+            self.run_live(six_records, tmp_path, transport, **selector)
         assert info.value.stage == "predict"
         assert isinstance(info.value.__cause__, ValueError)
-        assert built == SIX_IDS and calls == []
+        assert prepared == SIX_IDS and calls == []
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_rejected_call_stops_dispatch(self, six_records, tmp_path, k):
@@ -763,10 +779,19 @@ NO_TRANSITION = dict(files=2, methods=1, lines_per_method=2, calls_per_method=0,
 def test_whole_run_over_generated_version_pairs(tmp_path_factory, monkeypatch, capsys, shape,
                                                 seed, selector, depth, max_lines):
     """Any generated pair, any predictor in stub mode: records.csv is the
-    generator's truth, predictions.csv holds one row per sampled record,
+    generator's truth, predictions.csv holds one row per sampled record, an
+    LLM run diffs each sampled record once and every diff round-trips,
     `driftlens evaluate --preds` reprints report.txt, and a rerun into a
     fresh directory writes the same bytes."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    diffs = []
+
+    def captured_diff(old, new, **kwargs):
+        cs = diff(old, new, **kwargs)
+        diffs.append((kwargs["path"], old, new, cs))
+        return cs
+
+    monkeypatch.setattr(pipeline, "diff", captured_diff)
     synth = importlib.import_module("synth")
     base = tmp_path_factory.mktemp("whole_run")
     paths = synth.write_pair(synth.SynthParams(**shape), seed, base / "pair")
@@ -793,6 +818,9 @@ def test_whole_run_over_generated_version_pairs(tmp_path_factory, monkeypatch, c
                              key=lambda row: row["new_path"])
     sampled = [row["new_path"] for row in records if config.baseline or row["subset"] in SUBSETS]
     assert [row["record_id"] for row in csv_rows("predictions.csv")] == sampled
+    assert [path for path, *_ in diffs] == ([] if config.baseline else sampled)
+    for _, old, new, cs in diffs:
+        assert apply_unified(old, cs.unified) == new
 
     rerun = config.replace(out_dir=str(base / "second"))
     pipeline.run(rerun)
@@ -927,6 +955,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[SRC1] → Defective" in out
         assert "=== system ===" in out
+
+    def test_prompt_prints_what_a_run_sends(self, corpus, tmp_path, capsys):
+        client, sent = ScriptedChatClient(), {}
+        complete = client.complete
+
+        def recording_complete(req):
+            sent[req.record_id] = req
+            return complete(req)
+
+        client.complete = recording_complete
+        pipeline.run(base_config(corpus, tmp_path, method="M5"), client=client)
+        req = sent["pkg/B10.java"]
+        ((_, user),) = req.user_turns
+        old_csv, new_csv = corpus
+        capsys.readouterr()
+        assert cli_main(["prompt", "--old", str(old_csv), "--new", str(new_csv),
+                         "--record", "pkg/B10.java", "--method", "M5"]) == 0
+        assert capsys.readouterr().out == f"=== system ===\n{req.system}\n=== user ===\n{user}\n"
 
     def test_baseline_cli(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
