@@ -132,7 +132,7 @@ def cmd_prompt(args) -> int:
     if args.method not in (*METHOD_IDS, "analyzer"):  # before loading, so it fails fast
         raise ConfigurationError(f"unknown method {args.method!r}")
     config, old_set, record = _load_record(args)
-    cs, ctx = pipeline.record_materials(record, config, need_context=True)
+    cs, ctx = pipeline.record_materials(record, config)
     if config.method == "analyzer":
         bundle = build_role_prompt(config.method, record, cs, ctx)
     else:

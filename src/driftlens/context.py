@@ -1,11 +1,12 @@
 """Diff-anchored file-local context extraction.
 
 Each source is masked once: one regex finds every comment and string/char
-literal, and one substitution blanks them with offsets kept. The offsets of
-each bracket character, found by `str.find`, pair every `(` and `{` of the
-masked text with its closer. Methods are located by two signature regexes
-anchored on line starts; a signature's parameter list and body extents are
-then partner lookups, and each span keeps its masked body. A same-file,
+literal, and one substitution blanks them with offsets kept. Methods are
+located by two signature regexes anchored on line starts. Only the `(` a
+signature opens is closed, on demand, by a `str.find` scan that jumps over
+the pairs earlier scans found; every `{` is paired with its `}` in one sweep
+of the masked text. So a signature's parameter list and body extents cost a
+short scan and a lookup, and each span keeps its masked body. A same-file,
 name-based call graph counts the `name(` tokens of each masked body in a
 single scan of the reversed body, which jumps from one `(` to the next. The
 scanning patterns do not backtrack: a run is possessive (`*+`, `++`)
@@ -21,6 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Callable
 
 RAW_WINDOW = 3  # lines kept around changed lines that fall outside any method
 
@@ -133,38 +135,72 @@ def mask_source(source: str) -> str:
     return _MASKED_RE.sub(_blank, source)
 
 
-def _offsets(text: str, ch: str) -> list[int]:
-    """Every offset of `ch` in `text`, ascending."""
-    found: list[int] = []
-    at = text.find(ch)
-    while at >= 0:
-        found.append(at)
-        at = text.find(ch, at + 1)
-    return found
+def _brace_partners(masked: str) -> dict[int, int]:
+    """Offset of each balanced `{` mapped to the offset of its `}`.
 
-
-def _pair(opens: list[int], closes: list[int], partner: dict[int, int]) -> None:
-    """Pair each closer with the latest unpaired opener before it."""
-    stack: list[int] = []
-    i, n = 0, len(opens)
-    for close in closes:
-        while i < n and opens[i] < close:
-            stack.append(opens[i])
-            i += 1
-        if stack:
-            partner[stack.pop()] = close
-
-
-def _partners(masked: str) -> dict[int, int]:
-    """Offset of each balanced `(` or `{` mapped to the offset of its closer.
-
-    Parentheses and braces are paired independently. A closer with no open
-    partner is skipped, and an opener never closed has no entry.
+    Each `}` pairs with the latest unpaired `{` before it; a `}` with no
+    open partner is skipped, and a `{` never closed has no entry.
     """
     partner: dict[int, int] = {}
-    _pair(_offsets(masked, "("), _offsets(masked, ")"), partner)
-    _pair(_offsets(masked, "{"), _offsets(masked, "}"), partner)
+    stack: list[int] = []
+    opened, close = masked.find("{"), masked.find("}")
+    while close >= 0:
+        while 0 <= opened < close:
+            stack.append(opened)
+            opened = masked.find("{", opened + 1)
+        if stack:
+            partner[stack.pop()] = close
+        close = masked.find("}", close + 1)
     return partner
+
+
+def _paren_closer(masked: str) -> Callable[[int], int]:
+    """A function from the offset of a `(` to the offset of its `)`, or -1.
+
+    The closer of a `(` is the first `)` after it where the depth counted
+    from it returns to zero. A scan memoises every `(` it passes and jumps
+    over each pair already known to the first `(` after it, so every bracket
+    is scanned about once per text, in whatever order the `(`s are asked.
+    """
+    known: dict[int, int] = {}  # "(" -> its ")", or -1 if it never closes
+    after: dict[int, int] = {}  # a closed "(" -> the first "(" after its ")", or -1
+    find, size = masked.find, len(masked)
+
+    def close(pos: int) -> int:
+        got = known.get(pos)
+        if got is not None:
+            return got
+        stack = [pos]
+        at = pos + 1
+        opened = find("(", at)
+        while True:
+            # the next ")" counts only if it comes before the next "("
+            shut = find(")", at, size if opened < 0 else opened)
+            if shut >= 0:
+                top = stack.pop()
+                known[top] = shut
+                after[top] = opened
+                if not stack:
+                    return shut
+                at = shut + 1
+            elif opened < 0:
+                break
+            else:
+                got = known.get(opened)
+                if got is None:
+                    stack.append(opened)
+                    at = opened + 1
+                    opened = find("(", at)
+                elif got < 0:  # an inner "(" never closes, so no outer one does
+                    break
+                else:
+                    at = got + 1
+                    opened = after[opened]
+        for top in stack:
+            known[top] = -1
+        return -1
+
+    return close
 
 
 def extract_methods(source: str) -> list[MethodSpan]:
@@ -175,7 +211,8 @@ def extract_methods(source: str) -> list[MethodSpan]:
     if not source:
         return []
     masked = mask_source(source)
-    partner = _partners(masked)
+    close_paren = _paren_closer(masked)
+    partner = _brace_partners(masked)
     # a match in text starts at its line's start in masked offsets, and
     # its "(" sits at m.end() - 2 in masked offsets
     text = "\n" + masked
@@ -191,12 +228,10 @@ def extract_methods(source: str) -> list[MethodSpan]:
             name = m.group(name_group)
             if name in _CONTROL_KEYWORDS:
                 continue
-            if pattern is _SIG_RE:
-                head = m.group(2).split()
-                if any(tok in _CONTROL_KEYWORDS for tok in head):
-                    continue
-            close = partner.get(m.end() - 2)
-            if close is None:
+            if pattern is _SIG_RE and not _CONTROL_KEYWORDS.isdisjoint(m.group(2).split()):
+                continue
+            close = close_paren(m.end() - 2)
+            if close < 0:
                 continue
             # skip whitespace and a throws clause; require a body
             tail = _BODY_OR_END_RE.search(masked, close + 1)
@@ -215,13 +250,7 @@ def extract_methods(source: str) -> list[MethodSpan]:
             last = source.find("\n", end)
             if last < 0:
                 last = len(source)
-            spans.append(MethodSpan(
-                name=name,
-                start_line=line,
-                end_line=end_line,
-                body=source[first:last],
-                masked_body=masked[first:last],
-            ))
+            spans.append(MethodSpan(name, line, end_line, source[first:last], masked[first:last]))
     spans.sort(key=lambda s: (s.start_line, s.end_line))
     return spans
 
@@ -236,16 +265,22 @@ def build_call_graph(methods: list[MethodSpan]) -> CallGraph:
     rank = {name: i for i, name in enumerate(dict.fromkeys(s.name for s in methods))}
     by_start = sorted(methods, key=lambda s: s.start_line)
     starts = [s.start_line for s in by_start]
+    names = [s.name for s in by_start]
     edges: dict[tuple[str, str], None] = {}
     for span in methods:
         found = [name[::-1] for name in _REVERSED_CALL_RE.findall(span.masked_body[::-1])]
         callees = rank.keys() & found
-        # only a name declared inside the span, usually its own, needs counts
-        declared = [s.name for s in by_start[bisect_left(starts, span.start_line):
-                                             bisect_right(starts, span.end_line)]]
-        for name in callees.intersection(declared):
-            if found.count(name) <= declared.count(name):
-                callees.discard(name)
+        # only a name declared inside the span needs counts; most spans
+        # declare only themselves, and their signature is one mention
+        lo, hi = bisect_left(starts, span.start_line), bisect_right(starts, span.end_line)
+        if hi - lo == 1:
+            if found.count(span.name) == 1:
+                callees.discard(span.name)
+        else:
+            declared = names[lo:hi]
+            for name in callees.intersection(declared):
+                if found.count(name) <= declared.count(name):
+                    callees.discard(name)
         for name in sorted(callees, key=rank.__getitem__):
             edges[(span.name, name)] = None
     return CallGraph(nodes=tuple(rank), edges=tuple(edges))

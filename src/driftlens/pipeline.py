@@ -152,14 +152,18 @@ class RunConfig(_Fields):
                 f"depth and max_lines must be >= 0, got {self.depth} and {self.max_lines}")
         if self.exemplar_count < 0:
             raise ConfigurationError(f"exemplar_count must be >= 0, got {self.exemplar_count}")
-        who, needs = self.method, REQUIRED_INPUTS.get(self.method, ())
-        if self.debate:
-            who, needs = "the debate", [name for role in ROLES for name in REQUIRED_INPUTS[role]]
+        who, needs = "the debate" if self.debate else self.method, self.prompt_inputs()
         if "exemplars" in needs and self.exemplar_count < 1:
             raise ConfigurationError(f"{who} needs exemplar_count >= 1, got {self.exemplar_count}")
         if "local_context" in needs and self.max_lines < 1:
             raise ConfigurationError(f"{who} needs max_lines >= 1, got {self.max_lines}")
         self.match_params()
+
+    def prompt_inputs(self) -> tuple[str, ...]:
+        """The inputs the run's prompts read: the method's, or every debate role's."""
+        if self.debate:
+            return tuple(name for role in ROLES for name in REQUIRED_INPUTS[role])
+        return REQUIRED_INPUTS.get(self.method, ())
 
     def match_params(self) -> MatchParams:
         """The matching parameters; a bad threshold or multiplier is a ConfigurationError."""
@@ -318,7 +322,11 @@ def method_exemplars(config: RunConfig, old_set) -> list[str] | None:
     return exemplars
 
 
-def record_materials(record, config: RunConfig, need_context: bool):
+def record_materials(record, config: RunConfig, need_context: bool | None = None):
+    """The record's diff, and its context when need_context is true or, if
+    it is None, when the run's prompts read one; otherwise None."""
+    if need_context is None:
+        need_context = "local_context" in config.prompt_inputs()
     cs = diff(record.old_file.source, record.new_file.source,
               context_lines=config.diff_context, path=record.record_id)
     ctx = None
@@ -363,11 +371,10 @@ def predict(records, config: RunConfig, client, exemplars) -> list[PredictionRow
     converses on _map_records' threads: M0-M8 sends its request and parses
     the reply, the debate runs the role schedule and saves its transcript.
     """
-    need_context = config.debate or "local_context" in REQUIRED_INPUTS[config.method]
     cfg = config.debate_config() if config.debate else None
 
     def prepare(record) -> tuple:
-        cs, ctx = record_materials(record, config, need_context)
+        cs, ctx = record_materials(record, config)
         if config.debate:
             return record, cs, ctx
         bundle = build_method_prompt(config.method, record, cs, ctx=ctx, exemplars=exemplars)

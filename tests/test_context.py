@@ -1,4 +1,5 @@
 import importlib
+import random
 import re
 import time
 from bisect import bisect_right
@@ -19,7 +20,8 @@ from driftlens.context import (
     CallGraph,
     ContextBundle,
     MethodSpan,
-    _partners,
+    _brace_partners,
+    _paren_closer,
     build_call_graph,
     extract_context,
     extract_methods,
@@ -674,11 +676,26 @@ class TestOnePassOracles:
     def test_partners_equal_bracket_walk(self, text):
         expected = {}
         for pos, ch in enumerate(text):
-            if ch in "({":
-                close = reference_closing(text, pos, ch, ")" if ch == "(" else "}")
+            if ch == "{":
+                close = reference_closing(text, pos, "{", "}")
                 if close >= 0:
                     expected[pos] = close
-        assert _partners(text) == expected
+        assert _brace_partners(text) == expected
+
+    @given(st.text(alphabet="(){}a\n", max_size=80), st.randoms())
+    @example(")(", random.Random(0))
+    @example("}{", random.Random(0))
+    @example("({)}", random.Random(0))
+    @example("(((", random.Random(0))
+    @settings(max_examples=600, deadline=None)
+    def test_paren_closer_equals_bracket_walk(self, text, rng):
+        # every "(" asked once, in a random order, so later asks meet the
+        # pairs and the unclosed runs that earlier scans memoised
+        opens = [pos for pos, ch in enumerate(text) if ch == "("]
+        rng.shuffle(opens)
+        close = _paren_closer(text)
+        for pos in opens:
+            assert close(pos) == reference_closing(text, pos, "(", ")"), pos
 
     @given(java_like())
     @example("void foo\t(x) {}")
@@ -725,10 +742,28 @@ class TestOnePassOracles:
         texts = ["(" * 200_000, "a" * 200_000 + "(", "( " * 100_000]
         started = time.perf_counter()
         found = [len(_REVERSED_CALL_RE.findall(text[::-1])) for text in texts]
-        paired = [len(_partners(text)) for text in texts]
+        paired = [len(_brace_partners(text.replace("(", "{"))) for text in texts]
         assert time.perf_counter() - started < 1.0
         assert found == [0, 1, 0]
         assert paired == [0, 0, 0]
+
+        # and so would a closer that rescanned what earlier asks had scanned:
+        # each text's "(" are asked last to first, so every ask meets the pairs
+        # and unclosed runs memoised before it; past the last pair of the last
+        # text, a closer that found the next "(" afresh after each jump would
+        # scan the blank tail once per pair
+        paren_texts = ["(" * 200_000, "(" * 200_000 + ")", "()" * 100_000,
+                       "(" * 100_000 + ")" * 100_000, "(" * 20_000 + ")" * 20_000 + " " * 2_000_000]
+        started = time.perf_counter()
+        closed = []
+        for text in paren_texts:
+            close = _paren_closer(text)
+            closed.append(sum(close(pos) >= 0 for pos in reversed(range(len(text)))
+                              if text[pos] == "("))
+        methods = extract_methods("class A {\n" + "  void f(\n" * 20_000 + ")")
+        assert time.perf_counter() - started < 1.0
+        assert closed == [0, 1, 100_000, 100_000, 20_000]
+        assert methods == []
 
     @given(java_like())
     @settings(max_examples=400, deadline=None)

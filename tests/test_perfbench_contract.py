@@ -118,7 +118,9 @@ def test_load_span_opens_twice_per_run(tmp_path, monkeypatch):
 def test_debate_spans_read_what_the_debate_layers_return(tmp_path, monkeypatch):
     """A traced context-debate run: the spans read the context bundle, the
     call graph, the role prompts, the verdict parse and the transcript, and
-    every diff and context is built before the first call."""
+    every diff and context is built before the first call. Each context
+    extraction holds one masking, one method scan and one call graph, so
+    context.mask_s, methods_s and call_graph_s time one of each per record."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")
     synth = importlib.import_module("synth")
@@ -140,6 +142,14 @@ def test_debate_spans_read_what_the_debate_layers_return(tmp_path, monkeypatch):
     assert layers["context.edges"] > 0
     assert layers["debate.calls_per_record"] >= 4
     assert layers["llm.parse_marker"] == layers["diffing.records"] > 0
+    extracts = [span for span in tracer.spans if span.name == "context.extract_context"]
+    assert len(extracts) == layers["diffing.records"]
+    for outer in extracts:
+        inner = Counter(span.name for span in tracer.spans
+                        if span is not outer and outer.start <= span.start
+                        and span.end <= outer.end)
+        assert inner == {"context.mask_source": 1, "context.extract_methods": 1,
+                         "context.build_call_graph": 1}
     prepared = [span.end for span in tracer.spans
                 if span.name in ("diffing.diff", "context.extract_context")]
     assert prepared and max(prepared) <= min(

@@ -974,6 +974,19 @@ class TestCli:
                          "--record", "pkg/B10.java", "--method", "M5"]) == 0
         assert capsys.readouterr().out == f"=== system ===\n{req.system}\n=== user ===\n{user}\n"
 
+    def test_prompt_extracts_context_only_for_a_prompt_that_reads_it(self, corpus, capsys,
+                                                                     monkeypatch):
+        def no_context(*args, **kwargs):
+            raise AssertionError("context extracted for a prompt that reads none")
+
+        monkeypatch.setattr(pipeline, "extract_context", no_context)
+        old_csv, new_csv = corpus
+        args = ["prompt", "--old", str(old_csv), "--new", str(new_csv), "--record", "pkg/B10.java"]
+        assert cli_main(args + ["--method", "M5"]) == 0
+        assert "=== user ===" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="context extracted"):
+            cli_main(args + ["--method", "M6"])
+
     def test_baseline_cli(self, corpus, tmp_path, capsys):
         old_csv, new_csv = corpus
         out_dir = tmp_path / "run0"

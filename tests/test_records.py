@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from driftlens.context import CallGraph, ContextBundle, MethodSpan
+from driftlens.context import CallGraph, ContextBundle, MethodSpan, extract_methods
 from driftlens.corpus import VersionedFile, VersionSet
 from driftlens.debate import DEFAULT_ROLE_MODELS, DebateConfig, DebateTranscript
 from driftlens.diffing import ChangeSet
@@ -164,6 +164,16 @@ def test_equal_values_make_equal_records_with_equal_hashes(cls, values):
             hash(made)
     else:
         assert hash(made) == hash(cls(**values))
+
+
+def test_extracted_spans_are_method_spans_equal_to_keyword_built_ones():
+    source = "class A {\n  int f(int x) {\n    return g(x);\n  }\n  public A() {}\n}\n"
+    spans = extract_methods(source)
+    assert [span.name for span in spans] == ["f", "A"]
+    for span in spans:
+        assert type(span) is MethodSpan
+        assert span == MethodSpan(**span._asdict())
+        assert repr(span) == repr(MethodSpan(**span._asdict()))
 
 
 def test_version_set_is_frozen():
