@@ -7,19 +7,20 @@ consumers via normalize_lines.
 
 Snapshots are read by _csv_rows, which yields the rows csv.reader yields for
 the default dialect, reading _BLOCK characters at a time. Each block is
-split once on the quote: for the quoting csv.writer writes, the pieces at
-even places lie outside quotes and those at odd places inside, so a quoted
-field is its odd pieces joined with one quote, and only the non-empty even
-pieces hold separators. csv.reader also accepts quoting csv.writer never
-writes, a quote inside an unquoted field or text after a closing quote,
-where that split no longer tells inside from outside. From the first block
-with such a quote on, csv.reader itself reads the rest of the file, read
-whole into a StringIO that cuts lines as newline="" does; no snapshot that
-csv.writer wrote reaches it. The file is opened with newline="\n": like
-newline="", it leaves every line end as it is in the file, which the CSV
-grammar needs, and unlike newline="" it sends no decoded block through a
-universal-newline pass. One byte-order mark at the start of the file is
-skipped.
+split on the quote, and the row cut by its end is carried to the next block
+as its pieces, so each character is split once. For the quoting csv.writer
+writes, the pieces at even places lie outside quotes and those at odd places
+inside, so a quoted field is its odd pieces joined with one quote, and only
+the non-empty even pieces hold separators. csv.reader also accepts quoting
+csv.writer never writes, a quote inside an unquoted field or text after a
+closing quote, where that split no longer tells inside from outside. From
+the first block with such a quote on, csv.reader itself reads the rest of
+the file, read whole into a StringIO that cuts lines as newline="" does; no
+snapshot that csv.writer wrote reaches it. The file is opened with
+newline="\n": like newline="", it leaves every line end as it is in the
+file, which the CSV grammar needs, and unlike newline="" it sends no decoded
+block through a universal-newline pass. One byte-order mark at the start of
+the file is skipped.
 
 Most files persist unchanged from one snapshot to the next, so a later
 snapshot loaded with the earlier one as `previous` reuses the earlier one's
@@ -57,9 +58,9 @@ _NO_FIELD_LIMIT = 2**31 - 1
 _FIELD_LIMIT_LOCK = threading.Lock()
 
 
-def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
-    """The complete rows of a block, split once on the quote, and how many
-    characters at its end they leave; None for quoting csv.writer never writes.
+def _split_rows(pieces: list[str], final: bool) -> tuple[list[list[str]], list[str]] | None:
+    """The complete rows of a block already split on the quote, and the pieces
+    after them; None for quoting csv.writer never writes.
 
     When every quote opens a field, closes one or is one of a "" pair,
     splitting on the quote puts the text outside quotes at even places and
@@ -69,8 +70,6 @@ def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
     one quoted field. The outline, the bounds joined with one quote per
     quoted field, then splits into lines and fields like CSV without quotes.
     """
-    pieces = buf.split('"')
-    n = len(pieces)
     outside, inside = pieces[::2], pieces[1::2]
     bounds = [0, *compress(range(1, len(outside)), islice(outside, 1, None))]
     outline = '"'.join(map(outside.__getitem__, bounds))
@@ -85,16 +84,14 @@ def _split_rows(buf: str, final: bool) -> tuple[list[list[str]], int] | None:
         # the block, so a CR at its end is read again with the LF that may follow
         cut = max(outline.rfind("\n"), outline.rfind("\r", 0, len(outline) - 1)) + 1
         if not cut:
-            return [], len(buf)
+            return [], pieces
     fields = outline.count('"', 0, cut)
-    rest = 0
+    rest = []
     if not final:
-        # the cut lies in the bound after the last complete quoted field; what
-        # follows it is counted from the end of the block
+        # the cut lies in the bound after the last complete quoted field
         last = bounds[fields]
         head = cut - outline.rfind('"', 0, cut) - 1
-        rest = (len(outside[last]) - head + n - 1 - 2 * last
-                + sum(map(len, islice(pieces, 2 * last + 1, None))))
+        rest = [outside[last][head:], *pieces[2 * last + 1:]]
     stops = [*bounds[1:], len(inside)]  # where each quoted field's inside pieces end
     values = iter(['"'.join(inside[b:e]) for b, e in zip(bounds[:fields], stops)])
     lines = outline[:cut].replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -124,38 +121,37 @@ def _csv_rows(fh):
     """Yield the rows csv.reader(fh) yields for a text file read untranslated.
 
     fh must return the file's characters as they are: a file opened with
-    newline="\n" or newline="", or a StringIO made with either. The loaders
-    open with newline="\n", which translates nothing either and, unlike
-    newline="", sends no block through a universal-newline pass.
+    newline="\n" or newline="", or a StringIO made with either.
 
-    Each block is split once on the quote (_split_rows). From the first block
-    with a quote inside an unquoted field or text after a closing quote on,
-    csv.reader reads the rest of the file (_reader_rows), which is read
-    whole, and its rows are all built before the first is yielded;
-    load_version and read_predictions_csv keep every row anyway.
+    From the first block with a quote inside an unquoted field or text after
+    a closing quote on, csv.reader reads the rest of the file (_reader_rows),
+    which is read whole, and its rows are all built before the first is
+    yielded; load_version and read_predictions_csv keep every row anyway.
     csv.field_size_limit is lifted while it parses, and csv.reader in other
-    threads sees the lifted limit during that window. A quote left open at the end of the file needs
-    no fallback: like csv.reader, the split runs its field to the end. The
-    rows cut by the end of a block, or by a block that ends in a carriage
-    return (which may start a CRLF), are parsed again with the next block
-    appended. That read is at least as long as the text carried over, so a
-    field spanning many blocks is still read in linear time, and until the
-    fallback memory stays bounded by a block and the longest row.
+    threads sees the lifted limit during that window. A quote left open at
+    the end of the file needs no fallback: like csv.reader, the split runs
+    its field to the end. A block that ends in a carriage return (which may
+    start a CRLF) carries its last line too. Each read is at least as long
+    as the text carried over, so a field spanning many blocks is still read
+    in linear time, and until the fallback memory stays bounded by a block
+    and the longest row.
     """
-    buf = ""
+    rest = [""]
     while True:
-        chunk = fh.read(max(_BLOCK, len(buf)))
+        chunk = fh.read(max(_BLOCK, sum(map(len, rest)) + len(rest) - 1))
         final = not chunk
-        buf += chunk
-        split = _split_rows(buf, final)
+        # the carried pieces, the last one continued by the chunk's first
+        pieces = chunk.split('"')
+        pieces[0] = rest[-1] + pieces[0]
+        pieces[:0] = rest[:-1]
+        split = _split_rows(pieces, final)
         if split is None:
-            yield from _reader_rows(buf, fh)
+            yield from _reader_rows('"'.join(pieces), fh)
             return
         rows, rest = split
         yield from rows
         if final:
             return
-        buf = buf[len(buf) - rest:]
 
 
 class VersionedFile(namedtuple("VersionedFile", "path source label version_id")):

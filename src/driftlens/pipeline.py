@@ -15,6 +15,7 @@ then runs on up to max_in_flight threads, the calling one included.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -253,7 +254,13 @@ def config_lines(config: RunConfig) -> list[str]:
 
 
 def write_manifest(config: RunConfig, path: str | Path, elapsed_seconds: float) -> None:
-    """Write config as a config file; the run's wall time goes in a comment line."""
+    """Write config as a config file; the run's wall time goes in a comment line.
+
+    The input paths are written absolute, so the manifest reruns from any
+    working directory.
+    """
+    config = config.replace(old_csv=os.path.abspath(config.old_csv),
+                            new_csv=os.path.abspath(config.new_csv))
     lines = [f"# driftlens manifest (tool version {__version__})",
              "# re-run with: driftlens run --config <this file>",
              f"# elapsed_seconds: {elapsed_seconds:.3f}"]
@@ -313,7 +320,7 @@ def method_exemplars(config: RunConfig, old_set) -> list[str] | None:
     Raises ConfigurationError when the prompt shows exemplars and the old
     version has no defective file to take them from.
     """
-    if "exemplars" not in REQUIRED_INPUTS.get(config.method, ()):
+    if "exemplars" not in config.prompt_inputs():
         return None
     exemplars = pick_exemplars(old_set, config.exemplar_count, config.seed)
     if not exemplars:

@@ -15,6 +15,7 @@ from driftlens.corpus import (
     VersionedFile,
     VersionSet,
     _csv_rows,
+    _split_rows,
     load_version,
     normalize_lines,
 )
@@ -255,6 +256,25 @@ def test_csv_rows_split_what_csv_writer_writes(rows, quoting, terminator, block)
         mp.setattr(corpus, "_BLOCK", block)
         mp.setattr(corpus, "_reader_rows", _no_reader_rows)
         assert rows_of(text) == reader_rows(text)
+
+
+@given(st.text(alphabet=['a', ',', '"', '\r', '\n', '\u20ac'], max_size=30))
+@settings(max_examples=500, deadline=None)
+def test_split_rows_carries_the_pieces_after_its_complete_rows(text):
+    split = _split_rows(text.split('"'), False)
+    if split is not None:
+        rows, rest = split
+        carried = '"'.join(rest)
+        assert text.endswith(carried)
+        head = text[:len(text) - len(carried)]
+        # the complete rows end at a line end, and a CR the block ends with
+        # may start a CRLF, so it is carried
+        assert not head or head[-1] == "\n" or (
+            head[-1] == "\r" and carried and carried[0] != "\n")
+        assert rows == reader_rows(head)
+    split = _split_rows(text.split('"'), True)
+    if split is not None:
+        assert split == (reader_rows(text), [])
 
 
 class _CountedReads(io.StringIO):

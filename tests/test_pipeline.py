@@ -1077,6 +1077,20 @@ class TestCli:
                                      method="M5", seed=7, caps="B00=1", stub=True,
                                      out_dir=str(out_dir))
 
+    def test_manifest_of_relative_inputs_reruns_from_another_directory(
+            self, corpus, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["predict", "--old", corpus[0].name, "--new", corpus[1].name,
+                         "--method", "M5", "--stub", "--out-dir", "first"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli_main(["run", "--config", str(tmp_path / "first" / "manifest.txt"),
+                         "--out-dir", "second"]) == 0
+        for name in ("records.csv", "predictions.csv", "report.txt"):
+            assert (elsewhere / "second" / name).read_bytes() == \
+                (tmp_path / "first" / name).read_bytes()
+
     @pytest.mark.parametrize("bad", [("--threshold", "2"), ("--gap-multiplier", "-1"),
                                      ("--gap-multiplier", "nan"), ("--gap-multiplier", "inf")])
     def test_bad_match_params_rejected_before_loading(self, tmp_path, capsys, bad):
